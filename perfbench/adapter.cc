@@ -158,6 +158,26 @@ FitStats ToFitStats(const core::TrainResult& r, size_t items) {
   return s;
 }
 
+/// core::CalibrateActivations over `source` — the step every publish runs
+/// between trained weights and the packed artifact.
+void CalibrateModel(const core::DeepSDModel& model,
+                    const core::InputSource& source) {
+  ScopedSpan span("train.calibrate");
+  core::CalibrateActivations(model, source);
+}
+
+/// Packs `model` and the baseline `ea` as a DSAR1 artifact at `path`.
+std::string PackModel(const core::DeepSDModel& model,
+                      const nn::ParameterStore& params,
+                      const baselines::EmpiricalAverage* ea,
+                      const std::string& path, const std::string& version_id) {
+  ScopedSpan span("store.pack");
+  store::PackOptions po;
+  po.version_id = version_id;
+  util::Status st = store::PackModelArtifact(model, params, ea, po, path);
+  return st.ok() ? "" : st.ToString();
+}
+
 /// Times the online accuracy tracker's prediction tap (eval layer).
 class TimedObserver : public serving::PredictionObserver {
  public:
@@ -276,19 +296,12 @@ std::unique_ptr<Offline> Offline::Build(const Inputs& inputs,
   return std::unique_ptr<Offline>(new Offline(std::move(impl)));
 }
 
-void Offline::Calibrate() {
-  ScopedSpan span("train.calibrate");
-  core::CalibrateActivations(*impl_->model, *impl_->train);
-}
+void Offline::Calibrate() { CalibrateModel(*impl_->model, *impl_->train); }
 
 std::string Offline::Pack(const std::string& path,
                           const std::string& version_id) const {
-  ScopedSpan span("store.pack");
-  store::PackOptions po;
-  po.version_id = version_id;
-  util::Status st = store::PackModelArtifact(
-      *impl_->model, *impl_->params, impl_->ea.get(), po, path);
-  return st.ok() ? "" : st.ToString();
+  return PackModel(*impl_->model, *impl_->params, impl_->ea.get(), path,
+                   version_id);
 }
 
 double Offline::ForwardFlopsPerRow() const {
@@ -375,18 +388,13 @@ FitStats FineTuner::FineTuneFrom(const Artifact& base) {
 }
 
 void FineTuner::Calibrate() {
-  ScopedSpan span("train.calibrate");
-  core::CalibrateActivations(*impl_->model, *impl_->snapshot);
+  CalibrateModel(*impl_->model, *impl_->snapshot);
 }
 
 std::string FineTuner::Pack(const std::string& path,
                             const std::string& version_id) const {
-  ScopedSpan span("store.pack");
-  store::PackOptions po;
-  po.version_id = version_id;
-  util::Status st = store::PackModelArtifact(
-      *impl_->model, impl_->params, impl_->offline->ea.get(), po, path);
-  return st.ok() ? "" : st.ToString();
+  return PackModel(*impl_->model, impl_->params, impl_->offline->ea.get(),
+                   path, version_id);
 }
 
 std::vector<float> FineTuner::PredictProbe() const {

@@ -50,12 +50,9 @@ Outcome RunFinetunePublish(const Context& ctx) {
   double first_mae = 0;
   uint64_t expected_sequence = svc.current_sequence();
   const int64_t loop_start = NowNs();
-  int64_t prev_end = loop_start;
   for (int iter = 0; iter == 0 || SecondsSince(loop_start) < ctx.seconds;
        ++iter) {
     ScopedRequest request(static_cast<uint64_t>(iter) + 1);
-    const int64_t f0 = NowNs();
-    out.gen_lag_us.push_back(static_cast<double>(f0 - prev_end) * 1e-3);
     const FitStats fit = tuner->FineTuneFrom(*dep.artifact);
     samples += fit.samples;
     for (double s : fit.batch_s) {
@@ -102,7 +99,6 @@ Outcome RunFinetunePublish(const Context& ctx) {
       }
     }
     out.tally.Record(err);
-    prev_end = NowNs();
   }
   out.queue = svc.queue_totals();
   out.rejected_events = svc.rejected_events();

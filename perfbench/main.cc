@@ -212,9 +212,13 @@ std::vector<Metric> LayerMetrics(const std::vector<Span>& spans,
                PerUnit(obs.total_us, static_cast<double>(obs.count)), "us",
                "lower", "OnlineAccuracyTracker tap"});
 
+  // Only the open loop has due times; a closed loop's next call is due when
+  // the previous one returns, so it reports 0.
   const Tail lag_tail = TailOf(t.gen_lag_us);
-  m.push_back({"gen.lag_p50_us", Median(t.gen_lag_us), "us", "lower", ""});
-  m.push_back({"gen.lag_tail_us", lag_tail.value, "us", "lower", ""});
+  const char* lag_note = t.gen_lag_us.empty() ? "closed loop: no schedule" : "";
+  m.push_back({"gen.lag_p50_us", Median(t.gen_lag_us), "us", "lower",
+               lag_note});
+  m.push_back({"gen.lag_tail_us", lag_tail.value, "us", "lower", lag_note});
   return m;
 }
 

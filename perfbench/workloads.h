@@ -29,9 +29,13 @@ struct Scale {
   // area_queries
   int query_shards = 4;
   int query_clients = 4;  ///< Capped at nproc.
-  std::vector<double> ladder_rps = {60, 250, 1600};
-  double nominal_rps = 60;
-  double nominal_share = 0.6;  ///< Of the run's seconds, at nominal_rps.
+  /// The sustainable rate measured on the hosts this was built on ranged
+  /// from about 500 to 1100 rps. 50 rps, a tenth of its low end, is the
+  /// light-load point: queueing adds next to nothing there, so the nominal
+  /// latency is the per-request cost. 250, half the low end, should always
+  /// be met; 1600 is above the high end, so a gain has room to show.
+  std::vector<double> ladder_rps = {50, 250, 1600};
+  double nominal_rps = 50;  ///< Latencies are reported at this rung.
   int max_query_areas = 32;
   double zipf_s = 1.0;
   double query_warmup_s = 1.0;     ///< Untimed, at the nominal rate.
@@ -76,7 +80,7 @@ struct Outcome {
   QueueTotals queue;
   uint64_t rejected_events = 0;
   uint64_t live_versions = 0;
-  std::vector<double> gen_lag_us;
+  std::vector<double> gen_lag_us;  ///< Open loop only.
   std::vector<double> epoch_batch_s;
   std::vector<double> epoch_eval_s;
   double flops_per_row = 0;
