@@ -370,8 +370,8 @@ Outcome RunAreaQueries(const Context& ctx) {
   std::snprintf(note, sizeof(note), "p%.1f of %zu at %.0f rps",
                 tail.percentile, tail.samples, sc.nominal_rps);
   out.end_to_end = {
-      {"latency_p50_ms", p50, "ms", "lower",
-       "from due time at the nominal rate"},
+      {"latency_ms", p50, "ms", "lower",
+       "p50 from due time at the nominal rate"},
       {"throughput_per_s", saturation_rate, "1/s", "higher",
        "full-quality answers/s, closed loop"},
   };

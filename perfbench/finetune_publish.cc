@@ -112,8 +112,8 @@ Outcome RunFinetunePublish(const Context& ctx) {
   std::snprintf(note, sizeof(note), "p%.1f of %zu publishes", tail.percentile,
                 tail.samples);
   out.end_to_end = {
-      {"latency_p50_ms", p50, "ms", "lower",
-       "publish: calibrate + pack + open + swap"},
+      {"latency_ms", p50, "ms", "lower",
+       "p50 publish: calibrate + pack + open + swap"},
       {"throughput_per_s", samples_per_s, "1/s", "higher",
        "fine-tune samples per second, eval excluded"},
   };

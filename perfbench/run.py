@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repository benchmark: builds the program from source and runs one workload.
 
-    python3 perfbench/run.py --workload city_tick --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload city_tick --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --selftest
 
 Run from the root of a checkout. The program is built with CMake into
