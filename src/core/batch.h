@@ -1,6 +1,7 @@
 #ifndef DEEPSD_CORE_BATCH_H_
 #define DEEPSD_CORE_BATCH_H_
 
+#include <span>
 #include <vector>
 
 #include "feature/feature_assembler.h"
@@ -93,6 +94,24 @@ Batch MakeBatch(const InputSource& source, const std::vector<size_t>& indices);
 
 /// Packs the index range [begin, end).
 Batch MakeBatch(const InputSource& source, size_t begin, size_t end);
+
+/// Packs materialized inputs without copying them first.
+Batch PackBatch(std::span<const feature::ModelInput> inputs);
+
+/// Shapes `batch` for `rows` rows of window-`window` features, basic or
+/// advanced, reusing its storage: a caller that refills one batch per
+/// request allocates only when a request is larger than any before it.
+/// Feature values are left unspecified for the caller to overwrite;
+/// `target` is left empty.
+void ShapeBatch(Batch* batch, int rows, int window, bool advanced);
+
+/// Rows [begin, end) of `full` as `out`: the feature tensors become
+/// read-only views into `full`'s storage, the ids are copied. `full` must
+/// outlive every use of `out`.
+void SliceRows(const Batch& full, size_t begin, size_t end, Batch* out);
+
+/// Row `row` of `batch` as a ModelInput (target_gap 0).
+feature::ModelInput RowInput(const Batch& batch, int row);
 
 }  // namespace core
 }  // namespace deepsd

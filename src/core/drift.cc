@@ -36,8 +36,12 @@ util::Status ReferenceHistogram::Validate() const {
 }
 
 float InputActivity(const feature::ModelInput& input) {
+  return InputActivity(input.v_sd.data(), input.v_sd.size());
+}
+
+float InputActivity(const float* v_sd, size_t n) {
   float sum = 0;
-  for (float v : input.v_sd) sum += v;
+  for (size_t i = 0; i < n; ++i) sum += v_sd[i];
   return sum;
 }
 

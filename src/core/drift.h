@@ -53,6 +53,8 @@ ReferenceHistogram BuildInputReference(const InputSource& source,
 /// The activity scalar BuildInputReference histograms — exposed so the
 /// serving side bins the exact same quantity.
 float InputActivity(const feature::ModelInput& input);
+/// The same scalar over a supply-demand block held elsewhere (a batch row).
+float InputActivity(const float* v_sd, size_t n);
 
 /// Population Stability Index between the reference distribution and a
 /// live count vector over the same buckets, with typed edge handling:

@@ -285,36 +285,63 @@ nn::NodeId DeepSDModel::Forward(nn::Graph* g, const Batch& batch) const {
 
 std::vector<float> DeepSDModel::Predict(
     const std::vector<feature::ModelInput>& inputs, int batch_size) const {
-  return Predict(VectorSource(inputs), batch_size);
+  std::vector<float> preds(inputs.size());
+  const std::span<const feature::ModelInput> all(inputs);
+  ForwardChunks(inputs.size(), batch_size, preds.data(),
+                [&](size_t begin, size_t end, Batch* scratch) -> const Batch& {
+                  *scratch = PackBatch(all.subspan(begin, end - begin));
+                  return *scratch;
+                });
+  return preds;
 }
 
 std::vector<float> DeepSDModel::Predict(const InputSource& source,
                                         int batch_size) const {
+  std::vector<float> preds(source.size());
+  ForwardChunks(source.size(), batch_size, preds.data(),
+                [&](size_t begin, size_t end, Batch* scratch) -> const Batch& {
+                  *scratch = MakeBatch(source, begin, end);
+                  return *scratch;
+                });
+  return preds;
+}
+
+void DeepSDModel::PredictRows(const Batch& batch, size_t begin, size_t end,
+                              int batch_size, float* out) const {
+  ForwardChunks(end - begin, batch_size, out,
+                [&](size_t b, size_t e, Batch* scratch) -> const Batch& {
+                  SliceRows(batch, begin + b, begin + e, scratch);
+                  return *scratch;
+                });
+}
+
+void DeepSDModel::ForwardChunks(
+    size_t n, int batch_size, float* out,
+    const std::function<const Batch&(size_t, size_t, Batch*)>& chunk) const {
   // Chunks run in parallel on the shared pool, each writing its disjoint
-  // slice of `preds`. Every forward op computes each batch row
+  // slice of `out`. Every forward op computes each batch row
   // independently, so the numbers per row never depend on which rows share
   // a chunk — the result is bitwise-identical to the serial loop for any
   // thread count or chunking. Each pool thread keeps one long-lived graph
   // whose arena recycles tensor storage across chunks (and across Predict
   // calls); recycled buffers are re-zeroed on acquire, so reuse cannot
   // change any value.
-  std::vector<float> preds(source.size());
   const size_t span = static_cast<size_t>(std::max(batch_size, 1));
   util::ThreadPool::Global().ParallelFor(
-      0, source.size(), span, [&](size_t begin, size_t end) {
-        Batch batch = MakeBatch(source, begin, end);
+      0, n, span, [&](size_t begin, size_t end) {
+        static thread_local Batch scratch;
+        const Batch& batch = chunk(begin, end, &scratch);
         static thread_local nn::Graph g;
         g.Clear();
         g.set_training(false);
         nn::NodeId pred = Forward(&g, batch);
-        const nn::Tensor& out = g.value(pred);
-        for (int r = 0; r < out.rows(); ++r) {
-          float v = out.at(r, 0);
+        const nn::Tensor& result = g.value(pred);
+        for (int r = 0; r < result.rows(); ++r) {
+          float v = result.at(r, 0);
           if (config_.clamp_nonnegative) v = std::max(v, 0.0f);
-          preds[begin + static_cast<size_t>(r)] = v;
+          out[begin + static_cast<size_t>(r)] = v;
         }
       });
-  return preds;
 }
 
 std::array<float, data::kDaysPerWeek> DeepSDModel::CombiningWeights(

@@ -2,6 +2,7 @@
 #define DEEPSD_CORE_MODEL_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,9 +58,17 @@ class DeepSDModel {
   std::vector<float> Predict(const InputSource& source,
                              int batch_size = 256) const;
 
-  /// Convenience overload over materialized inputs.
+  /// Convenience overload over materialized inputs; reads them in place.
   std::vector<float> Predict(const std::vector<feature::ModelInput>& inputs,
                              int batch_size = 256) const;
+
+  /// Inference over rows [begin, end) of an assembled batch, written to
+  /// out[0, end - begin). The rows run in chunks of `batch_size` that read
+  /// the batch in place. A row's prediction never depends on which rows
+  /// share its chunk, so every overload gives the same bits for the same
+  /// features.
+  void PredictRows(const Batch& batch, size_t begin, size_t end,
+                   int batch_size, float* out) const;
 
   /// The learnt 7-dim day-of-week combining weights p for (area, week) from
   /// the extended supply-demand block (paper Eq. 1 / Fig 15). Advanced mode
@@ -77,6 +86,12 @@ class DeepSDModel {
   static constexpr const char* kTrafficPrefix = "traffic.";
 
  private:
+  /// The eval forward over rows [0, n) in parallel chunks of `batch_size`:
+  /// `chunk(begin, end, scratch)` returns the chunk's batch, built in the
+  /// worker's reusable `scratch` or borrowed. Writes out[0, n).
+  void ForwardChunks(
+      size_t n, int batch_size, float* out,
+      const std::function<const Batch&(size_t, size_t, Batch*)>& chunk) const;
   nn::NodeId IdentityPart(nn::Graph* g, const Batch& batch) const;
   nn::NodeId WeatherVector(nn::Graph* g, const Batch& batch) const;
   /// The four-projection concat of one extended block (Fig 9).

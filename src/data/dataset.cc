@@ -21,6 +21,20 @@ std::span<const Order> OrderDataset::OrdersAt(int area, int day, int ts) const {
   return {orders_.data() + begin, orders_.data() + end};
 }
 
+std::span<const Order> OrderDataset::OrdersInRange(int area, int day,
+                                                   int t_begin,
+                                                   int t_end) const {
+  if (area < 0 || area >= num_areas_ || day < 0 || day >= num_days_) return {};
+  t_begin = std::clamp(t_begin, 0, kMinutesPerDay);
+  t_end = std::clamp(t_end, 0, kMinutesPerDay);
+  if (t_end <= t_begin) return {};
+  // Buckets are laid out minute-major per (area, day), so minute 1440 of a
+  // day indexes the next day's first bucket: a valid end offset.
+  const uint32_t begin = offsets_[BucketIndex(area, day, t_begin)];
+  const uint32_t end = offsets_[BucketIndex(area, day, t_end)];
+  return {orders_.data() + begin, orders_.data() + end};
+}
+
 int OrderDataset::ValidCount(int area, int day, int ts) const {
   return ValidInRange(area, day, ts, ts + 1);
 }

@@ -36,6 +36,11 @@ class OrderDataset {
   /// Orders that start in `area` at exactly minute `ts` of `day`, in
   /// generation order. Empty span for out-of-range arguments.
   std::span<const Order> OrdersAt(int area, int day, int ts) const;
+  /// Orders that start in `area` during [t_begin, t_end) of `day` (clamped
+  /// to the day): the OrdersAt spans of those minutes, back to back, from
+  /// one index lookup.
+  std::span<const Order> OrdersInRange(int area, int day, int t_begin,
+                                       int t_end) const;
 
   /// Number of valid orders starting in `area` at minute `ts` of `day`.
   int ValidCount(int area, int day, int ts) const;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <span>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -25,19 +27,16 @@ FeatureAssembler::FeatureAssembler(const data::OrderDataset* dataset,
       ref_day_end_(std::min(ref_day_end, dataset->num_days())) {
   DEEPSD_CHECK(config_.window > 0);
   DEEPSD_CHECK(ref_day_end_ > ref_day_begin_);
-  grid_points_ =
-      (data::kMinutesPerDay - config_.grid_start) / config_.grid_stride + 1;
 
   const int num_areas = dataset_->num_areas();
-  const int L = config_.window;
   ref_day_count_.assign(data::kDaysPerWeek, 0);
   for (int d = ref_day_begin_; d < ref_day_end_; ++d) {
     ++ref_day_count_[static_cast<size_t>(dataset_->WeekId(d))];
   }
 
   // Table construction parallelizes over areas: each area writes only its
-  // own slice of the tables, and the per-area day-accumulation order is the
-  // same as the serial loop, so the tables are bit-identical for any thread
+  // own slice of the table, and the per-area day-accumulation order is the
+  // same as the serial loop, so the table is bit-identical for any thread
   // count (see docs/parallelism.md).
   util::ThreadPool& pool = util::ThreadPool::Global();
 
@@ -102,160 +101,166 @@ FeatureAssembler::FeatureAssembler(const data::OrderDataset* dataset,
       env_stats_.tc_std[level] = safe_std(tc[level]);
     }
   }
-
-  // --- Last-call / waiting-time: mean vectors per (area, weekday, slot). ---
-  size_t table_size = static_cast<size_t>(num_areas) * data::kDaysPerWeek *
-                      grid_points_ * 2 * static_cast<size_t>(L);
-  lc_table_.assign(table_size, 0.0f);
-  wt_table_.assign(table_size, 0.0f);
-  pool.ParallelFor(0, static_cast<size_t>(num_areas), 1,
-                   [&](size_t a0, size_t a1) {
-  for (int a = static_cast<int>(a0); a < static_cast<int>(a1); ++a) {
-    for (int d = ref_day_begin_; d < ref_day_end_; ++d) {
-      int w = dataset_->WeekId(d);
-      for (int g = 0; g < grid_points_; ++g) {
-        int t = config_.grid_start + g * config_.grid_stride;
-        size_t base =
-            ((static_cast<size_t>(a) * data::kDaysPerWeek + w) * grid_points_ +
-             static_cast<size_t>(g)) *
-            2 * static_cast<size_t>(L);
-        std::vector<float> lc = LastCallVector(*dataset_, a, d, t, L);
-        std::vector<float> wt = WaitingTimeVector(*dataset_, a, d, t, L);
-        for (size_t k = 0; k < lc.size(); ++k) {
-          lc_table_[base + k] += lc[k];
-          wt_table_[base + k] += wt[k];
-        }
-      }
-    }
-    for (int w = 0; w < data::kDaysPerWeek; ++w) {
-      int n = ref_day_count_[static_cast<size_t>(w)];
-      if (n == 0) continue;
-      for (int g = 0; g < grid_points_; ++g) {
-        size_t base =
-            ((static_cast<size_t>(a) * data::kDaysPerWeek + w) * grid_points_ +
-             static_cast<size_t>(g)) *
-            2 * static_cast<size_t>(L);
-        for (size_t k = 0; k < 2 * static_cast<size_t>(L); ++k) {
-          lc_table_[base + k] /= static_cast<float>(n);
-          wt_table_[base + k] /= static_cast<float>(n);
-        }
-      }
-    }
-  }
-                   });
 }
 
-int FeatureAssembler::GridIndex(int t) const {
-  if (t < config_.grid_start) return -1;
-  int off = t - config_.grid_start;
-  if (off % config_.grid_stride != 0) return -1;
-  int g = off / config_.grid_stride;
-  return g < grid_points_ ? g : -1;
-}
-
-std::vector<float> FeatureAssembler::RealtimeVector(int kind, int area,
-                                                    int day, int t) const {
-  switch (kind) {
-    case 0: return SupplyDemandVector(*dataset_, area, day, t, config_.window);
-    case 1: return LastCallVector(*dataset_, area, day, t, config_.window);
-    case 2: return WaitingTimeVector(*dataset_, area, day, t, config_.window);
-    default: DEEPSD_CHECK(false); return {};
+void FeatureAssembler::SdMean(int area, int week_id, int t,
+                              float* out) const {
+  const int L = config_.window;
+  const size_t base =
+      (static_cast<size_t>(area) * data::kDaysPerWeek + week_id) *
+      data::kMinutesPerDay * 2;
+  for (int l = 1; l <= L; ++l) {
+    const int ts = t - l;
+    // Minutes before the day's start or at/after its end hold no orders.
+    const bool in_day = ts >= 0 && ts < data::kMinutesPerDay;
+    out[l - 1] =
+        in_day ? sd_minute_mean_[base + 2 * static_cast<size_t>(ts)] : 0.0f;
+    out[L + l - 1] =
+        in_day ? sd_minute_mean_[base + 2 * static_cast<size_t>(ts) + 1]
+               : 0.0f;
   }
 }
 
 std::vector<float> FeatureAssembler::HistoricalSd(int area, int week_id,
                                                   int t) const {
-  const int L = config_.window;
-  std::vector<float> h(2 * static_cast<size_t>(L), 0.0f);
-  size_t base = (static_cast<size_t>(area) * data::kDaysPerWeek + week_id) *
-                data::kMinutesPerDay * 2;
-  for (int l = 1; l <= L; ++l) {
-    int ts = t - l;
-    if (ts < 0) break;
-    h[static_cast<size_t>(l - 1)] =
-        sd_minute_mean_[base + 2 * static_cast<size_t>(ts)];
-    h[static_cast<size_t>(L + l - 1)] =
-        sd_minute_mean_[base + 2 * static_cast<size_t>(ts) + 1];
-  }
+  std::vector<float> h(2 * static_cast<size_t>(config_.window));
+  SdMean(area, week_id, t, h.data());
   return h;
 }
 
 std::vector<float> FeatureAssembler::HistoricalVectors(int kind, int area,
                                                        int t) const {
+  DEEPSD_CHECK(kind >= 0 && kind < 3);
+  std::vector<float> out(data::kDaysPerWeek * 2 *
+                         static_cast<size_t>(config_.window));
+  float* dst = out.data();
   // day = -1 is outside the reference period, so no exclusion applies.
-  return HistoricalAll(kind, area, /*day=*/-1, t);
+  History(area, /*day=*/-1, t, kind == 0 ? dst : nullptr,
+          kind == 1 ? dst : nullptr, kind == 2 ? dst : nullptr);
+  return out;
+}
+
+void FeatureAssembler::History(int area, int day, int t, float* sd, float* lc,
+                               float* wt) const {
+  const int L = config_.window;
+  const size_t dim = 2 * static_cast<size_t>(L);
+  const size_t all = data::kDaysPerWeek * dim;
+
+  // Own-day exclusion applies to a reference day whose weekday has another
+  // reference day left to average. `own` holds that day's sd | lc | wt.
+  int own_w = -1;
+  if (day >= ref_day_begin_ && day < ref_day_end_ &&
+      RefDayCount(dataset_->WeekId(day)) > 1) {
+    own_w = dataset_->WeekId(day);
+  }
+  thread_local std::vector<float> own;
+  if (own_w >= 0) own.assign(3 * dim, 0.0f);
+
+  if (sd != nullptr) {
+    // Touch all seven weekday curves before reading any, so their cache
+    // misses overlap.
+    const int first = std::clamp(t - L, 0, data::kMinutesPerDay - 1);
+    const int last = std::clamp(t - 1, 0, data::kMinutesPerDay - 1);
+    for (int w = 0; w < data::kDaysPerWeek; ++w) {
+      const float* curve =
+          sd_minute_mean_.data() +
+          (static_cast<size_t>(area) * data::kDaysPerWeek + w) *
+              data::kMinutesPerDay * 2;
+      for (int ts = first; ts <= last; ts += 8) {
+        __builtin_prefetch(curve + 2 * ts);
+      }
+      __builtin_prefetch(curve + 2 * last + 1);
+    }
+    for (int w = 0; w < data::kDaysPerWeek; ++w) {
+      SdMean(area, w, t, sd + static_cast<size_t>(w) * dim);
+    }
+    if (own_w >= 0) {
+      for (int l = 1; l <= L; ++l) {
+        const int ts = t - l;
+        if (ts < 0) break;
+        own[static_cast<size_t>(l - 1)] =
+            static_cast<float>(dataset_->ValidCount(area, day, ts));
+        own[static_cast<size_t>(L + l - 1)] =
+            static_cast<float>(dataset_->InvalidCount(area, day, ts));
+      }
+    }
+  }
+
+  if (lc != nullptr || wt != nullptr) {
+    if (lc != nullptr) std::fill(lc, lc + all, 0.0f);
+    if (wt != nullptr) std::fill(wt, wt + all, 0.0f);
+    // Every count is a whole number far below 2^24, so the per-weekday sums
+    // are exact and equal the ascending-day sums of LastCallVector and
+    // WaitingTimeVector whatever order the 1.0f increments arrive in.
+    //
+    // The days' order windows are located (and their orders touched)
+    // first, so their cache misses overlap instead of each waiting on the
+    // last.
+    thread_local std::vector<std::span<const data::Order>> windows;
+    windows.clear();
+    for (int d = ref_day_begin_; d < ref_day_end_; ++d) {
+      windows.push_back(dataset_->OrdersInRange(area, d, t - L, t));
+      if (!windows.back().empty()) __builtin_prefetch(windows.back().data());
+    }
+    thread_local EpisodeScratch scratch;
+    for (int d = ref_day_begin_; d < ref_day_end_; ++d) {
+      const size_t off = static_cast<size_t>(dataset_->WeekId(d)) * dim;
+      float* lc_w = lc != nullptr ? lc + off : nullptr;
+      float* wt_w = wt != nullptr ? wt + off : nullptr;
+      const std::span<const data::Order> orders =
+          windows[static_cast<size_t>(d - ref_day_begin_)];
+      if (d != day || own_w < 0) {
+        AccumulateLastCallWaitingTime(orders, t, L, &scratch, lc_w, wt_w);
+        continue;
+      }
+      float* own_lc = own.data() + dim;
+      float* own_wt = own.data() + 2 * dim;
+      AccumulateLastCallWaitingTime(orders, t, L, &scratch, own_lc, own_wt);
+      for (size_t k = 0; k < dim; ++k) {
+        if (lc_w != nullptr) lc_w[k] += own_lc[k];
+        if (wt_w != nullptr) wt_w[k] += own_wt[k];
+      }
+    }
+    for (int w = 0; w < data::kDaysPerWeek; ++w) {
+      const int n = RefDayCount(w);
+      if (n == 0) continue;
+      const size_t off = static_cast<size_t>(w) * dim;
+      for (size_t k = 0; k < dim; ++k) {
+        if (lc != nullptr) lc[off + k] /= static_cast<float>(n);
+        if (wt != nullptr) wt[off + k] /= static_cast<float>(n);
+      }
+    }
+  }
+
+  if (own_w < 0) return;
+  // Exclude the item's own day from its historical average so E never
+  // contains the exact window being predicted from.
+  const float n = static_cast<float>(RefDayCount(own_w));
+  float* signals[3] = {sd, lc, wt};
+  for (int kind = 0; kind < 3; ++kind) {
+    if (signals[kind] == nullptr) continue;
+    float* h = signals[kind] + static_cast<size_t>(own_w) * dim;
+    const float* o = own.data() + static_cast<size_t>(kind) * dim;
+    for (size_t k = 0; k < dim; ++k) {
+      h[k] = (h[k] * n - o[k]) / (n - 1.0f);
+    }
+  }
 }
 
 std::vector<float> FeatureAssembler::NormalizeCounts(
     std::vector<float> counts) const {
-  for (float& v : counts) v = NormCount(v);
+  NormalizeCounts(counts.data(), counts.size());
   return counts;
 }
 
-std::vector<float> FeatureAssembler::HistoricalAll(int kind, int area, int day,
-                                                   int t) const {
-  const int L = config_.window;
-  const size_t dim = 2 * static_cast<size_t>(L);
-  std::vector<float> out(data::kDaysPerWeek * dim, 0.0f);
-
-  const bool day_in_ref = day >= ref_day_begin_ && day < ref_day_end_;
-  const int day_week = dataset_->WeekId(day);
-
-  for (int w = 0; w < data::kDaysPerWeek; ++w) {
-    std::vector<float> h;
-    if (kind == 0) {
-      h = HistoricalSd(area, w, t);
-    } else {
-      h.assign(dim, 0.0f);
-      int g = GridIndex(t);
-      const std::vector<float>& table = (kind == 1) ? lc_table_ : wt_table_;
-      if (g >= 0) {
-        size_t base =
-            ((static_cast<size_t>(area) * data::kDaysPerWeek + w) *
-                 grid_points_ +
-             static_cast<size_t>(g)) *
-            dim;
-        std::copy(table.begin() + static_cast<long>(base),
-                  table.begin() + static_cast<long>(base + dim), h.begin());
-      } else {
-        // Off-grid query: average on the fly (rare; tests only).
-        int n = 0;
-        for (int d = ref_day_begin_; d < ref_day_end_; ++d) {
-          if (dataset_->WeekId(d) != w) continue;
-          std::vector<float> v = RealtimeVector(kind, area, d, t);
-          for (size_t k = 0; k < dim; ++k) h[k] += v[k];
-          ++n;
-        }
-        if (n > 0) {
-          for (float& x : h) x /= static_cast<float>(n);
-        }
-      }
-    }
-
-    // Exclude the item's own day from its historical average so E never
-    // contains the exact window being predicted from.
-    int n = ref_day_count_[static_cast<size_t>(w)];
-    if (day_in_ref && day_week == w && n > 1) {
-      std::vector<float> own = RealtimeVector(kind, area, day, t);
-      for (size_t k = 0; k < dim; ++k) {
-        h[k] = (h[k] * static_cast<float>(n) - own[k]) /
-               static_cast<float>(n - 1);
-      }
-    }
-    std::copy(h.begin(), h.end(),
-              out.begin() + static_cast<long>(w * dim));
-  }
-  return out;
+void FeatureAssembler::NormalizeCounts(float* counts, size_t n) const {
+  if (!config_.normalize) return;
+  for (size_t i = 0; i < n; ++i) counts[i] = NormCount(counts[i]);
 }
 
 float FeatureAssembler::NormCount(float v) const {
   if (!config_.normalize) return v;
   return std::log1p(std::max(v, 0.0f));
-}
-
-void FeatureAssembler::AppendNormalizedCounts(const std::vector<float>& src,
-                                              std::vector<float>* dst) const {
-  for (float v : src) dst->push_back(NormCount(v));
 }
 
 ModelInput FeatureAssembler::AssembleBasic(
@@ -270,8 +275,8 @@ ModelInput FeatureAssembler::AssembleBasic(
   in.week_id = item.week_id;
   in.target_gap = item.gap;
 
-  in.v_sd = RealtimeVector(0, item.area, item.day, item.t);
-  for (float& v : in.v_sd) v = NormCount(v);
+  in.v_sd = SupplyDemandVector(*dataset_, item.area, item.day, item.t, L);
+  NormalizeCounts(in.v_sd.data(), in.v_sd.size());
 
   in.weather_types.reserve(static_cast<size_t>(L));
   in.weather_reals.reserve(2 * static_cast<size_t>(L));
@@ -304,21 +309,27 @@ ModelInput FeatureAssembler::AssembleAdvanced(
       obs::MetricsRegistry::Global().GetCounter("feature/assemble_advanced");
   assembled->Inc();
   ModelInput in = AssembleBasic(item);
-  const int t10 = item.t + data::kGapWindow;
-
-  auto norm_all = [this](std::vector<float> v) {
-    for (float& x : v) x = NormCount(x);
-    return v;
-  };
-
-  in.h_sd = norm_all(HistoricalAll(0, item.area, item.day, item.t));
-  in.h_sd10 = norm_all(HistoricalAll(0, item.area, item.day, t10));
-  in.v_lc = norm_all(RealtimeVector(1, item.area, item.day, item.t));
-  in.h_lc = norm_all(HistoricalAll(1, item.area, item.day, item.t));
-  in.h_lc10 = norm_all(HistoricalAll(1, item.area, item.day, t10));
-  in.v_wt = norm_all(RealtimeVector(2, item.area, item.day, item.t));
-  in.h_wt = norm_all(HistoricalAll(2, item.area, item.day, item.t));
-  in.h_wt10 = norm_all(HistoricalAll(2, item.area, item.day, t10));
+  const size_t dim = 2 * static_cast<size_t>(config_.window);
+  const size_t all = data::kDaysPerWeek * dim;
+  for (std::vector<float>* h : {&in.h_sd, &in.h_sd10, &in.h_lc, &in.h_lc10,
+                                &in.h_wt, &in.h_wt10}) {
+    h->resize(all);
+  }
+  in.v_lc.assign(dim, 0.0f);
+  in.v_wt.assign(dim, 0.0f);
+  thread_local EpisodeScratch scratch;
+  AccumulateLastCallWaitingTime(
+      dataset_->OrdersInRange(item.area, item.day, item.t - config_.window,
+                              item.t),
+      item.t, config_.window, &scratch, in.v_lc.data(), in.v_wt.data());
+  History(item.area, item.day, item.t, in.h_sd.data(), in.h_lc.data(),
+          in.h_wt.data());
+  History(item.area, item.day, item.t + data::kGapWindow, in.h_sd10.data(),
+          in.h_lc10.data(), in.h_wt10.data());
+  for (std::vector<float>* v : {&in.h_sd, &in.h_sd10, &in.v_lc, &in.h_lc,
+                                &in.h_lc10, &in.v_wt, &in.h_wt, &in.h_wt10}) {
+    NormalizeCounts(v->data(), v->size());
+  }
   return in;
 }
 
@@ -359,12 +370,23 @@ std::vector<float> FeatureAssembler::AssembleFlat(
     out.push_back(static_cast<float>(item.week_id));
   }
 
-  for (int kind = 0; kind < 3; ++kind) {
-    std::vector<float> v = RealtimeVector(kind, item.area, item.day, item.t);
-    AppendNormalizedCounts(v, &out);
-    std::vector<float> h = HistoricalAll(kind, item.area, item.day, item.t);
-    AppendNormalizedCounts(h, &out);
-  }
+  // Per signal: the real-time 2L vector, then its 7×2L history.
+  const size_t dim = 2 * static_cast<size_t>(L);
+  const size_t per_signal = dim + data::kDaysPerWeek * dim;
+  const size_t orders_begin = out.size();
+  out.resize(orders_begin + 3 * per_signal, 0.0f);
+  float* sd = out.data() + orders_begin;
+  float* lc = sd + per_signal;
+  float* wt = lc + per_signal;
+  std::vector<float> v_sd =
+      SupplyDemandVector(*dataset_, item.area, item.day, item.t, L);
+  std::copy(v_sd.begin(), v_sd.end(), sd);
+  thread_local EpisodeScratch scratch;
+  AccumulateLastCallWaitingTime(
+      dataset_->OrdersInRange(item.area, item.day, item.t - L, item.t), item.t,
+      L, &scratch, lc, wt);
+  History(item.area, item.day, item.t, sd + dim, lc + dim, wt + dim);
+  NormalizeCounts(sd, 3 * per_signal);
 
   // Weather at t-1: one-hot type + scaled temperature and PM2.5.
   const data::WeatherRecord& w =

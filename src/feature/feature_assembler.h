@@ -12,13 +12,10 @@ namespace feature {
 
 /// Feature-extraction parameters.
 struct FeatureConfig {
-  /// Look-back window L in minutes (paper fixes L = 20).
+  /// Look-back window L in minutes (paper fixes L = 20). Historical
+  /// vectors are available at every minute, on the paper's item grid or
+  /// off it, at the same cost.
   int window = 20;
-  /// Grid of timeslots on which historical last-call / waiting-time tables
-  /// are precomputed; must cover every t and t+10 the protocol queries.
-  /// The paper's item grid (every 5 min from 00:20) satisfies this.
-  int grid_start = 20;
-  int grid_stride = 5;
   /// If true, count features are log1p-compressed. Default false (raw
   /// counts, as in the paper): compression flattens exactly the large-gap
   /// regimes that dominate RMSE — measured on the simulator it costs the
@@ -74,8 +71,11 @@ struct ModelInput {
 /// substitution is behaviour-preserving.
 ///
 /// Construction precomputes per-(area, weekday) mean minute-curves for the
-/// supply-demand signal and per-(area, weekday, grid-slot) tables for the
-/// last-call and waiting-time signals; queries are then O(L).
+/// supply-demand signal, so its history is an O(L) lookup. Last-call and
+/// waiting-time history has no table: History() rebuilds both from one
+/// episode scan per reference day, at any minute, into caller-owned
+/// storage. Offline assembly (AssembleAdvanced, AssembleFlat) and live
+/// serving share that one pass.
 class FeatureAssembler {
  public:
   FeatureAssembler(const data::OrderDataset* dataset,
@@ -105,7 +105,8 @@ class FeatureAssembler {
   std::vector<std::string> FlatFeatureNames(bool onehot_categoricals) const;
 
   /// Historical per-day-of-week vector H^(w),t for the supply-demand signal
-  /// (un-normalized counts), exposed for tests.
+  /// (un-normalized counts), exposed for tests. Minutes at or past the end
+  /// of the day (t + 10 near midnight) count 0, as in SupplyDemandVector.
   std::vector<float> HistoricalSd(int area, int week_id, int t) const;
 
   /// All seven historical vectors (w-major, 7×2L) for one signal at
@@ -115,9 +116,24 @@ class FeatureAssembler {
   /// raw counts; apply the configured normalization via NormalizeCounts.
   std::vector<float> HistoricalVectors(int kind, int area, int t) const;
 
+  /// History of the three signals at (area, t), written in place: each
+  /// non-null pointer of `sd`, `lc`, `wt` receives that signal's seven
+  /// per-weekday raw-count vectors (w-major, 7×2L floats). A `day` inside
+  /// the reference period is left out of its weekday's average (so an item
+  /// never sees its own target window); any other day, such as -1 for live
+  /// serving, gets the plain average.
+  ///
+  /// Last-call and waiting-time come from one episode scan per reference
+  /// day, summed in ascending day order and divided by the weekday's day
+  /// count. Allocation-free once the calling thread's scratch has grown.
+  void History(int area, int day, int t, float* sd, float* lc,
+               float* wt) const;
+
   /// Applies this assembler's count normalization (identity when
   /// config().normalize is false) — for callers assembling live features.
   std::vector<float> NormalizeCounts(std::vector<float> counts) const;
+  /// In-place form over `n` counts.
+  void NormalizeCounts(float* counts, size_t n) const;
 
   /// Reference-period standardization statistics of the environment reals,
   /// shared with the live predictor so offline and online features agree.
@@ -144,20 +160,14 @@ class FeatureAssembler {
   }
 
  private:
-  int GridIndex(int t) const;
-  /// H vectors for one signal at (area, t), all 7 weekdays flattened, with
-  /// the item's own day excluded where applicable. `kind`: 0=sd, 1=lc, 2=wt.
-  std::vector<float> HistoricalAll(int kind, int area, int day, int t) const;
-  std::vector<float> RealtimeVector(int kind, int area, int day, int t) const;
-  void AppendNormalizedCounts(const std::vector<float>& src,
-                              std::vector<float>* dst) const;
+  /// HistoricalSd body: the 2L mean counts of (area, week_id) before t.
+  void SdMean(int area, int week_id, int t, float* out) const;
   float NormCount(float v) const;
 
   const data::OrderDataset* dataset_;
   FeatureConfig config_;
   int ref_day_begin_;
   int ref_day_end_;
-  int grid_points_;
 
   std::vector<int> ref_day_count_;  // per weekday
   EnvStats env_stats_;
@@ -165,11 +175,6 @@ class FeatureAssembler {
   // Mean per-minute valid/invalid counts per (area, weekday):
   // index ((area*7 + w) * 1440 + minute) * 2 + {0=valid,1=invalid}.
   std::vector<float> sd_minute_mean_;
-
-  // Mean last-call / waiting-time vectors per (area, weekday, grid slot):
-  // index ((area*7 + w) * grid_points + g) * 2L + k. kind 1 → lc_, 2 → wt_.
-  std::vector<float> lc_table_;
-  std::vector<float> wt_table_;
 };
 
 }  // namespace feature

@@ -7,52 +7,6 @@
 namespace deepsd {
 namespace feature {
 
-namespace {
-
-/// Per-passenger episode summary within one window.
-struct Episode {
-  int32_t pid;
-  int32_t first_ts;
-  int32_t last_ts;
-  bool last_valid;
-};
-
-/// Collects one episode per passenger with orders in [t-window, t),
-/// sorted scan over the window's per-minute buckets.
-std::vector<Episode> CollectEpisodes(const data::OrderDataset& dataset,
-                                     int area, int day, int t, int window) {
-  // Gather (pid, ts, valid) triples then reduce by pid. Window sizes are
-  // tens of orders for typical areas, so a sort beats a hash map here.
-  struct Call {
-    int32_t pid;
-    int32_t ts;
-    bool valid;
-  };
-  std::vector<Call> calls;
-  int begin = std::max(t - window, 0);
-  for (int ts = begin; ts < t && ts < data::kMinutesPerDay; ++ts) {
-    for (const data::Order& o : dataset.OrdersAt(area, day, ts)) {
-      calls.push_back({o.passenger_id, o.ts, o.valid});
-    }
-  }
-  std::sort(calls.begin(), calls.end(), [](const Call& a, const Call& b) {
-    if (a.pid != b.pid) return a.pid < b.pid;
-    return a.ts < b.ts;
-  });
-
-  std::vector<Episode> episodes;
-  for (size_t i = 0; i < calls.size();) {
-    size_t j = i;
-    while (j + 1 < calls.size() && calls[j + 1].pid == calls[i].pid) ++j;
-    episodes.push_back(
-        {calls[i].pid, calls[i].ts, calls[j].ts, calls[j].valid});
-    i = j + 1;
-  }
-  return episodes;
-}
-
-}  // namespace
-
 std::vector<float> SupplyDemandVector(const data::OrderDataset& dataset,
                                       int area, int day, int t, int window) {
   std::vector<float> v(2 * static_cast<size_t>(window), 0.0f);
@@ -67,27 +21,54 @@ std::vector<float> SupplyDemandVector(const data::OrderDataset& dataset,
   return v;
 }
 
+void AccumulateLastCallWaitingTime(std::span<const data::Order> orders, int t,
+                                   int window, EpisodeScratch* scratch,
+                                   float* lc, float* wt) {
+  // Gather (pid, ts, valid) triples then reduce by pid. Window sizes are
+  // tens of orders for typical areas, so a sort beats a hash map here.
+  using Call = EpisodeScratch::Call;
+  std::vector<Call>& calls = scratch->calls;
+  calls.clear();
+  for (const data::Order& o : orders) {
+    calls.push_back({o.passenger_id, o.ts, o.valid});
+  }
+  std::sort(calls.begin(), calls.end(), [](const Call& a, const Call& b) {
+    if (a.pid != b.pid) return a.pid < b.pid;
+    return a.ts < b.ts;
+  });
+
+  // One episode per passenger: first call calls[i], last call calls[j].
+  for (size_t i = 0; i < calls.size();) {
+    size_t j = i;
+    while (j + 1 < calls.size() && calls[j + 1].pid == calls[i].pid) ++j;
+    const Call& last = calls[j];
+    int l = t - last.ts;  // in [1, window]
+    if (lc != nullptr && l >= 1 && l <= window) {
+      lc[last.valid ? l - 1 : window + l - 1] += 1.0f;
+    }
+    int wait = last.ts - calls[i].ts;  // in [0, window-1]
+    if (wt != nullptr && wait >= 0 && wait < window) {
+      wt[last.valid ? wait : window + wait] += 1.0f;
+    }
+    i = j + 1;
+  }
+}
+
 std::vector<float> LastCallVector(const data::OrderDataset& dataset, int area,
                                   int day, int t, int window) {
   std::vector<float> v(2 * static_cast<size_t>(window), 0.0f);
-  for (const Episode& e : CollectEpisodes(dataset, area, day, t, window)) {
-    int l = t - e.last_ts;  // in [1, window]
-    if (l < 1 || l > window) continue;
-    size_t idx = static_cast<size_t>(e.last_valid ? l - 1 : window + l - 1);
-    v[idx] += 1.0f;
-  }
+  EpisodeScratch scratch;
+  AccumulateLastCallWaitingTime(dataset.OrdersInRange(area, day, t - window, t),
+                                t, window, &scratch, v.data(), nullptr);
   return v;
 }
 
 std::vector<float> WaitingTimeVector(const data::OrderDataset& dataset,
                                      int area, int day, int t, int window) {
   std::vector<float> v(2 * static_cast<size_t>(window), 0.0f);
-  for (const Episode& e : CollectEpisodes(dataset, area, day, t, window)) {
-    int wait = e.last_ts - e.first_ts;  // in [0, window-1]
-    if (wait < 0 || wait >= window) continue;
-    size_t idx = static_cast<size_t>(e.last_valid ? wait : window + wait);
-    v[idx] += 1.0f;
-  }
+  EpisodeScratch scratch;
+  AccumulateLastCallWaitingTime(dataset.OrdersInRange(area, day, t - window, t),
+                                t, window, &scratch, nullptr, v.data());
   return v;
 }
 

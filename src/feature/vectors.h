@@ -1,6 +1,8 @@
 #ifndef DEEPSD_FEATURE_VECTORS_H_
 #define DEEPSD_FEATURE_VECTORS_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -35,6 +37,27 @@ std::vector<float> LastCallVector(const data::OrderDataset& dataset, int area,
 /// so the common w = 0 case is representable.)
 std::vector<float> WaitingTimeVector(const data::OrderDataset& dataset,
                                      int area, int day, int t, int window);
+
+/// Reusable buffer of the per-passenger episode scan behind the last-call
+/// and waiting-time vectors. Keeping one per thread makes repeated scans
+/// allocation-free once its capacity has grown to the busiest window.
+struct EpisodeScratch {
+  struct Call {
+    int32_t pid;
+    int32_t ts;
+    bool valid;
+  };
+  std::vector<Call> calls;
+};
+
+/// Adds the last-call and waiting-time counts at minute t to `lc` and `wt`
+/// (2L floats each; either may be null) from one episode scan over
+/// `orders`: one (area, day)'s orders in [t-window, t), as
+/// OrderDataset::OrdersInRange returns them. Adds exactly what
+/// LastCallVector / WaitingTimeVector return, one 1.0f per passenger.
+void AccumulateLastCallWaitingTime(std::span<const data::Order> orders, int t,
+                                   int window, EpisodeScratch* scratch,
+                                   float* lc, float* wt);
 
 /// Demand curve of one day at minute resolution: total orders (valid +
 /// invalid) per minute. Used by the Fig. 1 / Fig. 12 reproductions.

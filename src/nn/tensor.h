@@ -44,12 +44,6 @@ class Tensor {
     return t;
   }
 
-  /// Single row adopting the vector's storage — no copy. Used on the
-  /// serving path where the feature vector is consumed by the batch.
-  static Tensor Row(std::vector<float>&& values) {
-    return Tensor(1, static_cast<int>(values.size()), std::move(values));
-  }
-
   /// Read-only view over `data` (rows*cols floats owned elsewhere, which
   /// must outlive every copy of the view). Copying a view copies the
   /// pointer, not the floats.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "core/drift.h"
@@ -12,22 +13,6 @@
 
 namespace deepsd {
 namespace serving {
-
-namespace {
-
-/// The current-weekday 2L block of an assembler's 7×2L historical vector —
-/// the empirical stand-in for a real-time vector whose feed has stalled.
-std::vector<float> EmpiricalBlock(const feature::FeatureAssembler& history,
-                                  int kind, int area, int t, int week_id) {
-  std::vector<float> full = history.HistoricalVectors(kind, area, t);
-  const size_t block = full.size() / data::kDaysPerWeek;
-  const size_t off = static_cast<size_t>(week_id) * block;
-  return std::vector<float>(
-      full.begin() + static_cast<long>(off),
-      full.begin() + static_cast<long>(off + block));
-}
-
-}  // namespace
 
 OnlinePredictor::OnlinePredictor(const core::DeepSDModel* model,
                                  const feature::FeatureAssembler* history,
@@ -137,77 +122,108 @@ feature::ModelInput OnlinePredictor::AssembleLive(int area) const {
 
 feature::ModelInput OnlinePredictor::AssembleAtTier(
     int area, FallbackTier tier, const core::DeepSDModel& model) const {
-  const bool advanced =
-      model.mode() == core::DeepSDModel::Mode::kAdvanced;
-  const int t = buffer_.minute();
+  // Per-thread like AssembleAndPredict's, so a per-area caller allocates
+  // only the ModelInput it returns.
+  thread_local OrderStreamBuffer::Snapshot snap;
+  thread_local core::Batch row;
+  TakeInputs(&area, 1, tier, model, &snap);
+  core::ShapeBatch(&row, 1, history_->config().window,
+                   model.mode() == core::DeepSDModel::Mode::kAdvanced);
+  FillRows(&area, 0, 1, tier, snap, &row);
+  return core::RowInput(row, 0);
+}
+
+void OnlinePredictor::TakeInputs(const int* areas, size_t n, FallbackTier tier,
+                                 const core::DeepSDModel& model,
+                                 OrderStreamBuffer::Snapshot* snap) const {
+  // Stale (but not dead) weather/traffic feeds are zero-order held: the
+  // last accepted record stands in for the missing trailing minutes. A
+  // fresh feed makes the held values identical to the plain ones, and a
+  // long-dead feed degrades to the unknown encoding (type 0 / zeros).
+  const bool hold = tier >= FallbackTier::kZeroOrderHold;
+  buffer_.TakeSnapshot(areas, n, hold ? fallback_.weather_hold_minutes : -1,
+                       hold ? fallback_.traffic_hold_minutes : -1, snap);
+  // Out-of-vocabulary type ids (possible only from a corrupted feed; the
+  // stream buffer rejects negatives but cannot know the model's vocab)
+  // degrade to the unknown type rather than tripping the embedding check.
+  for (int& type : snap->weather_types) {
+    if (type < 0 || type >= model.config().weather_vocab) type = 0;
+  }
+  const size_t L = static_cast<size_t>(history_->config().window);
+  for (size_t i = 0; i < L; ++i) {
+    snap->weather_reals[i] = history_->NormTemp(snap->weather_reals[i]);
+    snap->weather_reals[L + i] = history_->NormPm(snap->weather_reals[L + i]);
+  }
+}
+
+void OnlinePredictor::FillRows(const int* areas, size_t begin, size_t end,
+                               FallbackTier tier,
+                               const OrderStreamBuffer::Snapshot& snap,
+                               core::Batch* batch) const {
+  const int L = history_->config().window;
+  const size_t dim = 2 * static_cast<size_t>(L);
+  const int t = snap.minute();
   const int t10 = t + data::kGapWindow;
+  const int week_id = history_->dataset().WeekId(snap.day());
+  const size_t week_off = static_cast<size_t>(week_id) * dim;
   // Order vectors fall back to the day-of-week empirical block once the
   // order feed is stalled (tier >= 2); the order stream can't zero-order
   // hold (counts are per-minute events, not levels).
   const bool empirical_orders = tier >= FallbackTier::kEmpiricalBlock;
 
-  feature::ModelInput in;
-  in.area_id = area;
-  in.time_id = t;
-  in.week_id = history_->dataset().WeekId(buffer_.day());
+  for (size_t r = begin; r < end; ++r) {
+    const int area = areas[r];
+    const int row = static_cast<int>(r);
+    batch->area_ids[r] = area;
+    batch->time_ids[r] = t;
+    batch->week_ids[r] = week_id;
 
-  in.v_sd = history_->NormalizeCounts(
-      empirical_orders ? EmpiricalBlock(*history_, 0, area, t, in.week_id)
-                       : buffer_.SupplyDemandVector(area));
-  if (advanced) {
-    in.h_sd = history_->NormalizeCounts(
-        history_->HistoricalVectors(0, area, t));
-    in.h_sd10 = history_->NormalizeCounts(
-        history_->HistoricalVectors(0, area, t10));
-    in.v_lc = history_->NormalizeCounts(
-        empirical_orders ? EmpiricalBlock(*history_, 1, area, t, in.week_id)
-                         : buffer_.LastCallVector(area));
-    in.h_lc = history_->NormalizeCounts(
-        history_->HistoricalVectors(1, area, t));
-    in.h_lc10 = history_->NormalizeCounts(
-        history_->HistoricalVectors(1, area, t10));
-    in.v_wt = history_->NormalizeCounts(
-        empirical_orders ? EmpiricalBlock(*history_, 2, area, t, in.week_id)
-                         : buffer_.WaitingTimeVector(area));
-    in.h_wt = history_->NormalizeCounts(
-        history_->HistoricalVectors(2, area, t));
-    in.h_wt10 = history_->NormalizeCounts(
-        history_->HistoricalVectors(2, area, t10));
-  }
+    float* v_sd = batch->v_sd.row(row);
+    if (batch->has_advanced) {
+      float* h_sd = batch->h_sd.row(row);
+      float* h_lc = batch->h_lc.row(row);
+      float* h_wt = batch->h_wt.row(row);
+      float* v_lc = batch->v_lc.row(row);
+      float* v_wt = batch->v_wt.row(row);
+      // Live days are outside the reference period: no own-day exclusion.
+      history_->History(area, /*day=*/-1, t, h_sd, h_lc, h_wt);
+      history_->History(area, /*day=*/-1, t10, batch->h_sd10.row(row),
+                        batch->h_lc10.row(row), batch->h_wt10.row(row));
+      if (empirical_orders) {
+        std::copy(h_sd + week_off, h_sd + week_off + dim, v_sd);
+        std::copy(h_lc + week_off, h_lc + week_off + dim, v_lc);
+        std::copy(h_wt + week_off, h_wt + week_off + dim, v_wt);
+      } else {
+        snap.SupplyDemand(r, v_sd);
+        snap.LastCallWaitingTime(r, v_lc, v_wt);
+      }
+      for (nn::Tensor* block : {&batch->v_sd, &batch->h_sd, &batch->h_sd10,
+                                &batch->v_lc, &batch->h_lc, &batch->h_lc10,
+                                &batch->v_wt, &batch->h_wt, &batch->h_wt10}) {
+        history_->NormalizeCounts(block->row(row),
+                                  static_cast<size_t>(block->cols()));
+      }
+    } else {
+      if (empirical_orders) {
+        const std::vector<float> h = history_->HistoricalSd(area, week_id, t);
+        std::copy(h.begin(), h.end(), v_sd);
+      } else {
+        snap.SupplyDemand(r, v_sd);
+      }
+      history_->NormalizeCounts(v_sd, dim);
+    }
 
-  // Stale (but not dead) weather/traffic feeds are zero-order held: the
-  // last accepted record stands in for the missing trailing minutes. A
-  // fresh feed makes the held variants identical to the plain ones, and a
-  // long-dead feed degrades to the unknown encoding (type 0 / zeros).
-  if (tier >= FallbackTier::kZeroOrderHold) {
-    in.weather_types = buffer_.WeatherTypesHeld(fallback_.weather_hold_minutes);
-    in.weather_reals = buffer_.WeatherRealsHeld(fallback_.weather_hold_minutes);
-  } else {
-    in.weather_types = buffer_.WeatherTypes();
-    in.weather_reals = buffer_.WeatherReals();
+    for (size_t l = 0; l < static_cast<size_t>(L); ++l) {
+      batch->weather_types_by_lag[l][r] = snap.weather_types[l];
+    }
+    std::copy(snap.weather_reals.begin(), snap.weather_reals.end(),
+              batch->weather_reals.row(row));
+    const float* tc = snap.Traffic(r);
+    float* v_tc = batch->v_tc.row(row);
+    for (int i = 0; i < data::kCongestionLevels * L; ++i) {
+      v_tc[i] = history_->NormTraffic(i % data::kCongestionLevels, tc[i]);
+    }
   }
-  // Out-of-vocabulary type ids (possible only from a corrupted feed; the
-  // stream buffer rejects negatives but cannot know the model's vocab)
-  // degrade to the unknown type rather than tripping the embedding check.
-  for (int& type : in.weather_types) {
-    if (type < 0 || type >= model.config().weather_vocab) type = 0;
-  }
-  const int L = history_->config().window;
-  for (int i = 0; i < L; ++i) {
-    in.weather_reals[static_cast<size_t>(i)] =
-        history_->NormTemp(in.weather_reals[static_cast<size_t>(i)]);
-    in.weather_reals[static_cast<size_t>(L + i)] =
-        history_->NormPm(in.weather_reals[static_cast<size_t>(L + i)]);
-  }
-  in.v_tc = tier >= FallbackTier::kZeroOrderHold
-                ? buffer_.TrafficVectorHeld(area,
-                                            fallback_.traffic_hold_minutes)
-                : buffer_.TrafficVector(area);
-  for (size_t i = 0; i < in.v_tc.size(); ++i) {
-    in.v_tc[i] = history_->NormTraffic(
-        static_cast<int>(i % data::kCongestionLevels), in.v_tc[i]);
-  }
-  return in;
 }
 
 float OnlinePredictor::Predict(int area) const {
@@ -347,58 +363,69 @@ PredictResult OnlinePredictor::AssembleAndPredict(
       preds.push_back(rm.baseline->Predict(area, t));
     }
   } else {
-    // Assembly parallelizes over areas (each writes its own slot; the
-    // stream buffer's accessors are mutex-guarded snapshots); the forward
-    // pass then parallelizes internally over row chunks. A chunk of 16
-    // areas keeps per-task graphs small enough to overlap across workers.
-    // Each worker's graph is long-lived and arena-backed (see
-    // docs/performance.md), so a steady request stream replays prebuilt
-    // topologies into recycled tensor storage instead of reallocating per
-    // request.
+    // The call reads the stream buffer once: one snapshot under one lock,
+    // with the citywide weather block normalised once. Assembly then
+    // parallelizes over areas, each writing its own rows of one batch; the
+    // forward pass parallelizes internally over 16-row chunks that read
+    // that batch in place. A chunk of 4 areas keeps fill tasks small
+    // enough to overlap across workers. Each worker's graph is long-lived
+    // and arena-backed (see docs/performance.md), so a steady request
+    // stream replays prebuilt topologies into recycled tensor storage.
     //
+    // Snapshot and batch are per-thread and refilled every call, so a
+    // steady stream allocates nothing for them. Nothing below touches them
+    // once the observer runs — it may re-enter on this thread (a shadow
+    // evaluator re-predicts from inside OnPrediction).
+    thread_local OrderStreamBuffer::Snapshot snap;
+    thread_local core::Batch batch;
+    const size_t n = area_ids.size();
+    TakeInputs(area_ids.data(), n, tier, *rm.model, &snap);
+    core::ShapeBatch(&batch, static_cast<int>(n), history_->config().window,
+                     rm.model->mode() == core::DeepSDModel::Mode::kAdvanced);
+
     // Checkpoint 2: each assembly chunk starts only while the deadline
     // holds — one relaxed flag load plus a clock read per chunk, so a
     // request that expires mid-assembly stops burning pool time almost
     // immediately instead of finishing work nobody will read.
-    std::vector<feature::ModelInput> inputs(area_ids.size());
     std::atomic<bool> assembly_expired{false};
+    // Pool workers must fill this thread's batch, not their own
+    // thread_local one: hand them pointers.
+    core::Batch* rows = &batch;
+    const OrderStreamBuffer::Snapshot* inputs = &snap;
     util::ThreadPool::Global().ParallelFor(
-        0, area_ids.size(), 4, [&](size_t i0, size_t i1) {
+        0, n, 4, [&](size_t i0, size_t i1) {
           if (assembly_expired.load(std::memory_order_relaxed)) return;
           if (deadline.expired()) {
             assembly_expired.store(true, std::memory_order_relaxed);
             return;
           }
-          for (size_t i = i0; i < i1; ++i) {
-            inputs[i] = AssembleAtTier(area_ids[i], tier, *rm.model);
-          }
+          FillRows(area_ids.data(), i0, i1, tier, *inputs, rows);
         });
     if (assembly_expired.load(std::memory_order_relaxed)) return expire();
 
     if (observer != nullptr) {
-      activity.reserve(inputs.size());
-      for (const feature::ModelInput& in : inputs) {
-        activity.push_back(core::InputActivity(in));
+      activity.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        activity[i] = core::InputActivity(
+            batch.v_sd.row(static_cast<int>(i)),
+            static_cast<size_t>(batch.v_sd.cols()));
       }
     }
 
+    preds.resize(n);
     if (deadline.infinite()) {
-      preds = rm.model->Predict(inputs, /*batch_size=*/16);
+      rm.model->PredictRows(batch, 0, n, /*batch_size=*/16, preds.data());
     } else {
       // Checkpoint 3: the forward pass runs in sub-batches (multiples of
       // the internal batch of 16 rows, so the chunk structure — and the
       // bits — match the single-call path) with the deadline re-checked
       // between them.
       constexpr size_t kSubBatch = 64;
-      preds.reserve(inputs.size());
-      for (size_t begin = 0; begin < inputs.size(); begin += kSubBatch) {
+      for (size_t begin = 0; begin < n; begin += kSubBatch) {
         if (deadline.expired()) return expire();
-        const size_t end = std::min(inputs.size(), begin + kSubBatch);
-        std::vector<feature::ModelInput> sub(
-            inputs.begin() + static_cast<long>(begin),
-            inputs.begin() + static_cast<long>(end));
-        std::vector<float> sub_preds = rm.model->Predict(sub, /*batch_size=*/16);
-        preds.insert(preds.end(), sub_preds.begin(), sub_preds.end());
+        const size_t end = std::min(n, begin + kSubBatch);
+        rm.model->PredictRows(batch, begin, end, /*batch_size=*/16,
+                              preds.data() + begin);
       }
     }
     // Last line of defense: a non-finite output (NaN-poisoned weights, a

@@ -223,16 +223,30 @@ class OnlinePredictor {
   /// CurrentTier against a specific model (the tier depends on which
   /// input blocks the model consumes).
   FallbackTier TierFor(const core::DeepSDModel& model) const;
-  /// Tier-aware assembly body.
+  /// Takes the one buffer snapshot a call reads at `tier` (held env feeds
+  /// from kZeroOrderHold on) and normalises its citywide weather block
+  /// once: out-of-vocabulary types become 0, reals are standardised.
+  void TakeInputs(const int* areas, size_t n, FallbackTier tier,
+                  const core::DeepSDModel& model,
+                  OrderStreamBuffer::Snapshot* snap) const;
+  /// The row fill behind every live assembly: writes rows [begin, end) of
+  /// `batch` (already shaped for the call) with the features of
+  /// areas[begin, end) at `tier`, reading `snap` (taken for those same
+  /// areas by TakeInputs) and the assembler's history in place.
+  void FillRows(const int* areas, size_t begin, size_t end, FallbackTier tier,
+                const OrderStreamBuffer::Snapshot& snap,
+                core::Batch* batch) const;
+  /// AssembleLive body at a given tier and model.
   feature::ModelInput AssembleAtTier(int area, FallbackTier tier,
                                      const core::DeepSDModel& model) const;
   std::vector<float> CheapGapsFrom(const std::vector<int>& area_ids,
                                    const baselines::GapBaseline* baseline) const;
   /// Shared body of Predict/PredictAll/PredictBatch: tier decision, then
-  /// parallel per-area assembly + one batched forward pass (or the
-  /// baseline at tier 3), then the non-finite output guard. Deadline
-  /// checkpoints abandon to the cheap path (CheapGaps). Pins the current
-  /// version for the whole call when versioned and not already pinned.
+  /// a parallel row fill straight into one batch + a forward pass over its
+  /// rows (or the baseline at tier 3), then the non-finite output guard.
+  /// Deadline checkpoints abandon to the cheap path (CheapGaps). Pins the
+  /// current version for the whole call when versioned and not already
+  /// pinned.
   PredictResult AssembleAndPredict(const std::vector<int>& area_ids,
                                    util::Deadline deadline,
                                    store::PinnedModel pinned) const;

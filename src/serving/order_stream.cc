@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -271,181 +271,146 @@ int64_t OrderStreamBuffer::last_traffic_abs() const {
   return last_traffic_abs_;
 }
 
-std::vector<float> OrderStreamBuffer::SupplyDemandVector(int area) const {
+void OrderStreamBuffer::TakeSnapshot(const int* areas, size_t n,
+                                     int weather_hold, int traffic_hold,
+                                     Snapshot* out) const {
+  const size_t L = static_cast<size_t>(window_);
+  out->window = window_;
+  out->calls.clear();
+  out->call_begin.resize(n + 1);
+  out->traffic.resize(n * data::kCongestionLevels * L);
+  out->weather_types.resize(L);
+  out->weather_reals.resize(2 * L);
+
   std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<float> v(2 * static_cast<size_t>(window_), 0.0f);
-  for (const Call& call : calls_[static_cast<size_t>(area)]) {
-    if (!InWindow(call.ts_abs)) continue;
-    int l = static_cast<int>(now - call.ts_abs);  // in [1, window]
-    size_t idx = static_cast<size_t>(call.valid ? l - 1 : window_ + l - 1);
-    v[idx] += 1.0f;
+  const int64_t now = now_abs_.load(std::memory_order_relaxed);
+  out->now_abs = now;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t area = static_cast<size_t>(areas[i]);
+    out->call_begin[i] = out->calls.size();
+    for (const Call& call : calls_[area]) {
+      if (InWindow(call.ts_abs)) out->calls.push_back(call);
+    }
+    // Zero-order hold: a lag with no record of its own reuses the area's
+    // last accepted record while that is no more than `traffic_hold` stale.
+    const TrafficSlot& held_slot = held_traffic_[area];
+    const int64_t held_ts = held_traffic_ts_[area];
+    float* dst = out->traffic.data() + i * data::kCongestionLevels * L;
+    for (int l = 1; l <= window_; ++l) {
+      const int64_t ts = now - l;
+      const size_t slot = ts >= 0 ? area * L + SlotIndex(ts) : 0;
+      const bool fresh =
+          ts >= 0 && traffic_[slot].seen && traffic_ts_[slot] == ts;
+      const bool held = !fresh && held_slot.seen && held_ts <= ts &&
+                        ts - held_ts <= traffic_hold;
+      for (int level = 0; level < data::kCongestionLevels; ++level) {
+        float v = 0.0f;
+        if (fresh) {
+          v = static_cast<float>(traffic_[slot].level_counts[level]);
+        } else if (held) {
+          v = static_cast<float>(held_slot.level_counts[level]);
+        }
+        *dst++ = v;
+      }
+    }
   }
+  out->call_begin[n] = out->calls.size();
+
+  for (int l = 1; l <= window_; ++l) {
+    const int64_t ts = now - l;
+    const size_t slot = ts >= 0 ? SlotIndex(ts) : 0;
+    const bool fresh =
+        ts >= 0 && weather_[slot].seen && weather_ts_[slot] == ts;
+    const bool held = !fresh && held_weather_.seen &&
+                      last_weather_abs_ <= ts &&
+                      ts - last_weather_abs_ <= weather_hold;
+    const WeatherSlot unknown;
+    const WeatherSlot& src =
+        fresh ? weather_[slot] : (held ? held_weather_ : unknown);
+    out->weather_types[static_cast<size_t>(l - 1)] = src.type;
+    out->weather_reals[static_cast<size_t>(l - 1)] = src.temperature;
+    out->weather_reals[L + static_cast<size_t>(l - 1)] = src.pm25;
+  }
+}
+
+void OrderStreamBuffer::Snapshot::SupplyDemand(size_t i, float* out) const {
+  std::fill(out, out + 2 * window, 0.0f);
+  for (size_t c = call_begin[i]; c < call_begin[i + 1]; ++c) {
+    const int l = static_cast<int>(now_abs - calls[c].ts_abs);  // [1, L]
+    out[calls[c].valid ? l - 1 : window + l - 1] += 1.0f;
+  }
+}
+
+void OrderStreamBuffer::Snapshot::LastCallWaitingTime(size_t i, float* lc,
+                                                      float* wt) const {
+  if (lc != nullptr) std::fill(lc, lc + 2 * window, 0.0f);
+  if (wt != nullptr) std::fill(wt, wt + 2 * window, 0.0f);
+  // Group the calls by passenger, each group in arrival order: the first
+  // call starts the episode, the last one (latest ts; the later arrival on
+  // a tie) ends it.
+  thread_local std::vector<std::pair<int32_t, size_t>> keys;
+  keys.clear();
+  for (size_t c = call_begin[i]; c < call_begin[i + 1]; ++c) {
+    keys.emplace_back(calls[c].pid, c);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (size_t g = 0; g < keys.size();) {
+    size_t e = g;
+    while (e + 1 < keys.size() && keys[e + 1].first == keys[g].first) ++e;
+    const Call& first = calls[keys[g].second];
+    const Call& last = calls[keys[e].second];
+    if (lc != nullptr) {
+      const int l = static_cast<int>(now_abs - last.ts_abs);  // [1, L]
+      lc[last.valid ? l - 1 : window + l - 1] += 1.0f;
+    }
+    const int wait = static_cast<int>(last.ts_abs - first.ts_abs);
+    if (wt != nullptr && wait >= 0 && wait < window) {
+      wt[last.valid ? wait : window + wait] += 1.0f;
+    }
+    g = e + 1;
+  }
+}
+
+std::vector<float> OrderStreamBuffer::SupplyDemandVector(int area) const {
+  Snapshot snap;
+  TakeSnapshot(&area, 1, -1, -1, &snap);
+  std::vector<float> v(2 * static_cast<size_t>(window_));
+  snap.SupplyDemand(0, v.data());
   return v;
 }
 
 std::vector<float> OrderStreamBuffer::LastCallVector(int area) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<float> v(2 * static_cast<size_t>(window_), 0.0f);
-  std::map<int32_t, const Call*> last;
-  for (const Call& call : calls_[static_cast<size_t>(area)]) {
-    if (!InWindow(call.ts_abs)) continue;
-    auto [it, inserted] = last.emplace(call.pid, &call);
-    if (!inserted && call.ts_abs >= it->second->ts_abs) it->second = &call;
-  }
-  for (auto& [pid, call] : last) {
-    int l = static_cast<int>(now - call->ts_abs);
-    size_t idx = static_cast<size_t>(call->valid ? l - 1 : window_ + l - 1);
-    v[idx] += 1.0f;
-  }
+  Snapshot snap;
+  TakeSnapshot(&area, 1, -1, -1, &snap);
+  std::vector<float> v(2 * static_cast<size_t>(window_));
+  snap.LastCallWaitingTime(0, v.data(), nullptr);
   return v;
 }
 
 std::vector<float> OrderStreamBuffer::WaitingTimeVector(int area) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<float> v(2 * static_cast<size_t>(window_), 0.0f);
-  struct Episode {
-    int64_t first;
-    int64_t last;
-    bool last_valid;
-  };
-  std::map<int32_t, Episode> episodes;
-  for (const Call& call : calls_[static_cast<size_t>(area)]) {
-    if (!InWindow(call.ts_abs)) continue;
-    auto [it, inserted] =
-        episodes.emplace(call.pid, Episode{call.ts_abs, call.ts_abs, call.valid});
-    if (!inserted) {
-      it->second.first = std::min(it->second.first, call.ts_abs);
-      if (call.ts_abs >= it->second.last) {
-        it->second.last = call.ts_abs;
-        it->second.last_valid = call.valid;
-      }
-    }
-  }
-  for (auto& [pid, e] : episodes) {
-    int wait = static_cast<int>(e.last - e.first);
-    if (wait < 0 || wait >= window_) continue;
-    size_t idx = static_cast<size_t>(e.last_valid ? wait : window_ + wait);
-    v[idx] += 1.0f;
-  }
+  Snapshot snap;
+  TakeSnapshot(&area, 1, -1, -1, &snap);
+  std::vector<float> v(2 * static_cast<size_t>(window_));
+  snap.LastCallWaitingTime(0, nullptr, v.data());
   return v;
 }
 
 std::vector<int> OrderStreamBuffer::WeatherTypes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<int> out;
-  out.reserve(static_cast<size_t>(window_));
-  for (int l = 1; l <= window_; ++l) {
-    int64_t ts = now - l;
-    size_t slot = ts >= 0 ? SlotIndex(ts) : 0;
-    bool fresh = ts >= 0 && weather_[slot].seen && weather_ts_[slot] == ts;
-    out.push_back(fresh ? weather_[slot].type : 0);
-  }
-  return out;
+  Snapshot snap;
+  TakeSnapshot(nullptr, 0, -1, -1, &snap);
+  return snap.weather_types;
 }
 
 std::vector<float> OrderStreamBuffer::WeatherReals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<float> temps, pms;
-  for (int l = 1; l <= window_; ++l) {
-    int64_t ts = now - l;
-    size_t slot = ts >= 0 ? SlotIndex(ts) : 0;
-    bool fresh = ts >= 0 && weather_[slot].seen && weather_ts_[slot] == ts;
-    temps.push_back(fresh ? weather_[slot].temperature : 0.0f);
-    pms.push_back(fresh ? weather_[slot].pm25 : 0.0f);
-  }
-  temps.insert(temps.end(), pms.begin(), pms.end());
-  return temps;
+  Snapshot snap;
+  TakeSnapshot(nullptr, 0, -1, -1, &snap);
+  return snap.weather_reals;
 }
 
 std::vector<float> OrderStreamBuffer::TrafficVector(int area) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<float> out;
-  out.reserve(static_cast<size_t>(data::kCongestionLevels) * window_);
-  for (int l = 1; l <= window_; ++l) {
-    int64_t ts = now - l;
-    size_t slot = ts >= 0
-                      ? static_cast<size_t>(area) * window_ + SlotIndex(ts)
-                      : 0;
-    bool fresh = ts >= 0 && traffic_[slot].seen && traffic_ts_[slot] == ts;
-    for (int level = 0; level < data::kCongestionLevels; ++level) {
-      out.push_back(fresh ? static_cast<float>(
-                                traffic_[slot].level_counts[level])
-                          : 0.0f);
-    }
-  }
-  return out;
-}
-
-std::vector<int> OrderStreamBuffer::WeatherTypesHeld(int hold_minutes) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<int> out;
-  out.reserve(static_cast<size_t>(window_));
-  for (int l = 1; l <= window_; ++l) {
-    int64_t ts = now - l;
-    size_t slot = ts >= 0 ? SlotIndex(ts) : 0;
-    bool fresh = ts >= 0 && weather_[slot].seen && weather_ts_[slot] == ts;
-    // Zero-order hold: a lag with no record of its own reuses the last
-    // accepted record while that is no more than `hold_minutes` stale.
-    bool held = !fresh && held_weather_.seen && last_weather_abs_ <= ts &&
-                ts - last_weather_abs_ <= hold_minutes;
-    out.push_back(fresh ? weather_[slot].type
-                        : (held ? held_weather_.type : 0));
-  }
-  return out;
-}
-
-std::vector<float> OrderStreamBuffer::WeatherRealsHeld(int hold_minutes) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  std::vector<float> temps, pms;
-  for (int l = 1; l <= window_; ++l) {
-    int64_t ts = now - l;
-    size_t slot = ts >= 0 ? SlotIndex(ts) : 0;
-    bool fresh = ts >= 0 && weather_[slot].seen && weather_ts_[slot] == ts;
-    bool held = !fresh && held_weather_.seen && last_weather_abs_ <= ts &&
-                ts - last_weather_abs_ <= hold_minutes;
-    temps.push_back(fresh ? weather_[slot].temperature
-                          : (held ? held_weather_.temperature : 0.0f));
-    pms.push_back(fresh ? weather_[slot].pm25
-                        : (held ? held_weather_.pm25 : 0.0f));
-  }
-  temps.insert(temps.end(), pms.begin(), pms.end());
-  return temps;
-}
-
-std::vector<float> OrderStreamBuffer::TrafficVectorHeld(
-    int area, int hold_minutes) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t now = now_abs_.load(std::memory_order_relaxed);
-  const TrafficSlot& held_slot = held_traffic_[static_cast<size_t>(area)];
-  const int64_t held_ts = held_traffic_ts_[static_cast<size_t>(area)];
-  std::vector<float> out;
-  out.reserve(static_cast<size_t>(data::kCongestionLevels) * window_);
-  for (int l = 1; l <= window_; ++l) {
-    int64_t ts = now - l;
-    size_t slot = ts >= 0
-                      ? static_cast<size_t>(area) * window_ + SlotIndex(ts)
-                      : 0;
-    bool fresh = ts >= 0 && traffic_[slot].seen && traffic_ts_[slot] == ts;
-    bool held = !fresh && held_slot.seen && held_ts <= ts &&
-                ts - held_ts <= hold_minutes;
-    for (int level = 0; level < data::kCongestionLevels; ++level) {
-      float v = 0.0f;
-      if (fresh) {
-        v = static_cast<float>(traffic_[slot].level_counts[level]);
-      } else if (held) {
-        v = static_cast<float>(held_slot.level_counts[level]);
-      }
-      out.push_back(v);
-    }
-  }
-  return out;
+  Snapshot snap;
+  TakeSnapshot(&area, 1, -1, -1, &snap);
+  return snap.traffic;
 }
 
 size_t OrderStreamBuffer::buffered_orders() const {

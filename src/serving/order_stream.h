@@ -115,20 +115,8 @@ class OrderStreamBuffer {
   /// Traffic level counts at lags 1..L (4L raw values).
   std::vector<float> TrafficVector(int area) const;
 
-  /// Zero-order-hold variants: lags with no record are filled from the
-  /// most recent accepted record as long as it is at most `hold_minutes`
-  /// older than the lag. Tier-1 degradation (docs/robustness.md).
-  std::vector<int> WeatherTypesHeld(int hold_minutes) const;
-  std::vector<float> WeatherRealsHeld(int hold_minutes) const;
-  std::vector<float> TrafficVectorHeld(int area, int hold_minutes) const;
-
   /// Number of buffered orders (diagnostics).
   size_t buffered_orders() const;
-
-  /// Attaches (or detaches, with nullptr) the stream tap. The observer
-  /// must outlive the buffer or be detached first; see StreamObserver for
-  /// the locking contract.
-  void set_stream_observer(StreamObserver* observer);
 
  private:
   struct Call {
@@ -136,6 +124,61 @@ class OrderStreamBuffer {
     int32_t pid;
     bool valid;
   };
+
+ public:
+  /// One consistent copy of everything a prediction call reads from the
+  /// buffer, for a list of areas: the state behind their real-time vectors
+  /// plus the citywide weather. Taken under a single lock; its accessors
+  /// then run lock-free and give exactly what the per-area accessors above
+  /// would have given at that instant. Reuse one snapshot per thread to
+  /// keep repeated calls allocation-free.
+  struct Snapshot {
+    int64_t now_abs = 0;
+    int window = 0;
+    /// In-window calls of the i-th area: calls[call_begin[i],
+    /// call_begin[i+1]), ts ascending and in arrival order within a minute.
+    std::vector<Call> calls;
+    std::vector<size_t> call_begin;
+    /// 4L raw traffic counts per area (the TrafficVector layout).
+    std::vector<float> traffic;
+    /// L weather-type ids and 2L raw reals (the WeatherTypes/WeatherReals
+    /// layouts).
+    std::vector<int> weather_types;
+    std::vector<float> weather_reals;
+
+    int day() const {
+      return static_cast<int>(now_abs / data::kMinutesPerDay);
+    }
+    int minute() const {
+      return static_cast<int>(now_abs % data::kMinutesPerDay);
+    }
+    /// 2L supply-demand counts of the i-th area into `out`.
+    void SupplyDemand(size_t i, float* out) const;
+    /// 2L last-call and 2L waiting-time counts of the i-th area from one
+    /// pass over its calls; either pointer may be null.
+    void LastCallWaitingTime(size_t i, float* lc, float* wt) const;
+    /// The i-th area's 4L traffic counts.
+    const float* Traffic(size_t i) const {
+      return traffic.data() +
+             i * static_cast<size_t>(data::kCongestionLevels) * window;
+    }
+  };
+
+  /// Fills `out` for `n` areas under one lock, reusing its storage.
+  /// `weather_hold` / `traffic_hold` are zero-order-hold horizons in
+  /// minutes: a lag with no record of its own is filled from the feed's
+  /// most recent accepted record while that is at most this much older
+  /// than the lag (tier-1 degradation, docs/robustness.md). A negative
+  /// horizon holds nothing, which is what the accessors above return.
+  void TakeSnapshot(const int* areas, size_t n, int weather_hold,
+                    int traffic_hold, Snapshot* out) const;
+
+  /// Attaches (or detaches, with nullptr) the stream tap. The observer
+  /// must outlive the buffer or be detached first; see StreamObserver for
+  /// the locking contract.
+  void set_stream_observer(StreamObserver* observer);
+
+ private:
   struct WeatherSlot {
     bool seen = false;
     int32_t type = 0;

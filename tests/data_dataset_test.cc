@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace deepsd {
@@ -131,6 +135,36 @@ TEST(DatasetTest, PrefixSumsConsistentWithPerMinuteCounts) {
       EXPECT_EQ(ds.InvalidInRange(a, d, 200, 300), invalid);
     }
   }
+}
+
+TEST(DatasetTest, OrdersInRangeIsTheMinuteSpansBackToBack) {
+  OrderDataset ds = deepsd::testing::MakeSmallCity(3, 4, 7);
+  const int last_area = ds.num_areas() - 1, last_day = ds.num_days() - 1;
+  struct Query {
+    int area, day, t_begin, t_end;
+  };
+  // Interior windows, windows clamped at either end of the day, and the
+  // last (area, day), whose end is the index's final offset.
+  const Query queries[] = {{0, 1, 600, 620},
+                           {1, 2, -15, 5},
+                           {2, 0, 1425, 1450},
+                           {last_area, last_day, 1420, 1440},
+                           {last_area, last_day, 0, 1440},
+                           {1, 1, 700, 700}};
+  for (const Query& q : queries) {
+    std::vector<const Order*> want;
+    const int end = std::min(q.t_end, kMinutesPerDay);
+    for (int ts = std::max(q.t_begin, 0); ts < end; ++ts) {
+      for (const Order& o : ds.OrdersAt(q.area, q.day, ts)) want.push_back(&o);
+    }
+    std::span<const Order> got =
+        ds.OrdersInRange(q.area, q.day, q.t_begin, q.t_end);
+    ASSERT_EQ(got.size(), want.size()) << q.area << " " << q.day << " "
+                                       << q.t_begin << " " << q.t_end;
+    for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(&got[i], want[i]);
+  }
+  EXPECT_TRUE(ds.OrdersInRange(-1, 0, 0, 1440).empty());
+  EXPECT_TRUE(ds.OrdersInRange(0, ds.num_days(), 0, 1440).empty());
 }
 
 TEST(ItemsTest, TrainItemGridMatchesPaperProtocol) {

@@ -157,49 +157,48 @@ TEST_F(AssemblerTest, TestDayNotExcluded) {
 }
 
 TEST_F(AssemblerTest, LcTableMatchesOnTheFlyAverage) {
-  // The precomputed grid table for last-call historicals must equal a
-  // direct average (exercised through an on-grid and an off-grid query).
+  // Last-call historicals equal a direct average of the reference days'
+  // LastCallVectors, on the paper's 5-minute item grid and off it alike.
   FeatureConfig raw_fc;
   raw_fc.normalize = false;
   FeatureAssembler raw(&ds_, raw_fc, 0, 14);
-  const int area = 3, day = 15, on_grid_t = 700, off_grid_t = 703;
+  const int area = 3, day = 15;
   data::PredictionItem item;
   item.area = area;
   item.day = day;
   item.week_id = ds_.WeekId(day);
 
-  item.t = on_grid_t;
-  ModelInput on = raw.AssembleAdvanced(item);
-  item.t = off_grid_t;
-  ModelInput off = raw.AssembleAdvanced(item);
-
-  for (int w = 0; w < 7; ++w) {
-    std::vector<float> expected(2 * kL, 0.0f);
-    int n = 0;
-    for (int d = 0; d < 14; ++d) {
-      if (ds_.WeekId(d) != w) continue;
-      std::vector<float> v = LastCallVector(ds_, area, d, on_grid_t, kL);
-      for (size_t i = 0; i < v.size(); ++i) expected[i] += v[i];
-      ++n;
-    }
-    if (n == 0) continue;
-    for (float& x : expected) x /= static_cast<float>(n);
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_NEAR(on.h_lc[static_cast<size_t>(w) * 2 * kL + i], expected[i],
-                  1e-4);
+  for (int t : {700, 703}) {
+    item.t = t;
+    ModelInput in = raw.AssembleAdvanced(item);
+    ASSERT_EQ(in.h_lc.size(), 7u * 2 * kL);
+    for (int w = 0; w < 7; ++w) {
+      std::vector<float> expected(2 * kL, 0.0f);
+      int n = 0;
+      for (int d = 0; d < 14; ++d) {
+        if (ds_.WeekId(d) != w) continue;
+        std::vector<float> v = LastCallVector(ds_, area, d, t, kL);
+        for (size_t i = 0; i < v.size(); ++i) expected[i] += v[i];
+        ++n;
+      }
+      if (n == 0) continue;
+      for (float& x : expected) x /= static_cast<float>(n);
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_NEAR(in.h_lc[static_cast<size_t>(w) * 2 * kL + i],
+                    expected[i], 1e-4)
+            << "t " << t;
+      }
     }
   }
-  // Off-grid fallback produced something of the right shape.
-  EXPECT_EQ(off.h_lc.size(), 7u * 2 * kL);
 }
 
 TEST_F(AssemblerTest, EndOfDayGridCovered) {
-  // The last training item (t = 1430) queries historicals at t+10 = 1440 —
-  // the final grid point. Both must be well-formed.
+  // The last training item (t = 1430) queries historicals at t+10 = 1440,
+  // the day's last minute boundary. Both must be well-formed.
   data::PredictionItem item = Item(0, 15, 1430);
   ModelInput in = assembler_->AssembleAdvanced(item);
   EXPECT_EQ(in.h_sd10.size(), 7u * 2 * kL);
-  // The 1440 slot's last-call table equals a direct average.
+  // The last-call history at 1440 equals a direct average.
   FeatureConfig raw_fc;
   raw_fc.normalize = false;
   FeatureAssembler raw(&ds_, raw_fc, 0, 14);

@@ -1,6 +1,8 @@
 #include "src/serving/online_predictor.h"
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -142,7 +144,7 @@ TEST_F(ServingTest, LivePredictionsMatchOfflineBasic) {
   std::vector<float> offline = model.Predict(offline_inputs);
   ASSERT_EQ(live.size(), offline.size());
   for (size_t i = 0; i < live.size(); ++i) {
-    EXPECT_NEAR(live[i], offline[i], 1e-4) << "area " << i;
+    EXPECT_EQ(live[i], offline[i]) << "area " << i;
   }
 }
 
@@ -169,8 +171,127 @@ TEST_F(ServingTest, LivePredictionsMatchOfflineAdvanced) {
     offline_inputs.push_back(assembler_->AssembleAdvanced(item));
   }
   std::vector<float> offline = model.Predict(offline_inputs);
+  ASSERT_EQ(live.size(), offline.size());
   for (size_t i = 0; i < live.size(); ++i) {
-    EXPECT_NEAR(live[i], offline[i], 1e-4) << "area " << i;
+    EXPECT_EQ(live[i], offline[i]) << "area " << i;
+  }
+}
+
+TEST_F(ServingTest, LiveFeaturesEqualOfflineAtEveryMinute) {
+  // A served day (outside the reference period, so offline assembly
+  // excludes no own day) fed minute by minute: at every minute in
+  // [L, 1430], on the training grid and off it, each live feature field
+  // equals the offline one bit for bit. Minutes whose feeds leave the
+  // healthy tier are skipped: their inputs are degraded on purpose.
+  nn::ParameterStore store;
+  util::Rng rng(6);
+  core::DeepSDConfig config;
+  config.num_areas = ds_.num_areas();
+  core::DeepSDModel model(config, core::DeepSDModel::Mode::kAdvanced, &store,
+                          &rng);
+  OnlinePredictor predictor(&model, assembler_.get());
+  OrderStreamBuffer& buffer = predictor.buffer();
+  const int day = 10;
+  buffer.AdvanceTo(day, 0);
+
+  using Field = std::vector<float> feature::ModelInput::*;
+  const Field fields[] = {
+      &feature::ModelInput::v_sd,   &feature::ModelInput::h_sd,
+      &feature::ModelInput::h_sd10, &feature::ModelInput::v_lc,
+      &feature::ModelInput::h_lc,   &feature::ModelInput::h_lc10,
+      &feature::ModelInput::v_wt,   &feature::ModelInput::h_wt,
+      &feature::ModelInput::h_wt10, &feature::ModelInput::weather_reals,
+      &feature::ModelInput::v_tc};
+  size_t compared = 0, differing = 0;
+  for (int ts = 0; ts < 1430; ++ts) {
+    for (int a = 0; a < ds_.num_areas(); ++a) {
+      for (const data::Order& o : ds_.OrdersAt(a, day, ts)) buffer.AddOrder(o);
+      data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
+      tr.area = a;
+      tr.day = day;
+      tr.ts = ts;
+      buffer.AddTraffic(tr);
+    }
+    data::WeatherRecord w = ds_.WeatherAt(day, ts);
+    w.day = day;
+    w.ts = ts;
+    buffer.AddWeather(w);
+    const int t = ts + 1;
+    buffer.AdvanceTo(day, t);
+    if (t < kL || predictor.CurrentTier() != FallbackTier::kNone) continue;
+
+    for (int a = 0; a < ds_.num_areas(); ++a) {
+      data::PredictionItem item;
+      item.area = a;
+      item.day = day;
+      item.t = t;
+      item.week_id = ds_.WeekId(day);
+      const feature::ModelInput want = assembler_->AssembleAdvanced(item);
+      const feature::ModelInput got = predictor.AssembleLive(a);
+      ASSERT_EQ(got.area_id, a);
+      ASSERT_EQ(got.time_id, t);
+      ASSERT_EQ(got.week_id, item.week_id);
+      for (Field f : fields) {
+        const std::vector<float>& x = got.*f;
+        const std::vector<float>& y = want.*f;
+        ++compared;
+        if (x.size() != y.size() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) != 0) {
+          ++differing;
+          ADD_FAILURE() << "area " << a << " t " << t;
+        }
+      }
+      ++compared;
+      if (got.weather_types != want.weather_types) {
+        ++differing;
+        ADD_FAILURE() << "weather types, area " << a << " t " << t;
+      }
+      if (differing > 10) return;
+    }
+  }
+  EXPECT_GT(compared, 1000u * 12);
+  EXPECT_EQ(differing, 0u);
+}
+
+TEST_F(ServingTest, LivePredictAllAtFiveToMidnight) {
+  // At 23:55 the t+10 history covers 1440..1444, past the end of the day:
+  // those lags count zero in the lag-indexed signals (sd, last-call), and
+  // the live answer still equals the offline one.
+  nn::ParameterStore store;
+  util::Rng rng(7);
+  core::DeepSDConfig config;
+  config.num_areas = ds_.num_areas();
+  core::DeepSDModel model(config, core::DeepSDModel::Mode::kAdvanced, &store,
+                          &rng);
+  OnlinePredictor predictor(&model, assembler_.get());
+  const int day = 10, t = 1435;
+  Replay(&predictor.buffer(), day, t);
+
+  std::vector<float> live = predictor.PredictAll();
+  std::vector<feature::ModelInput> offline_inputs;
+  for (int a = 0; a < ds_.num_areas(); ++a) {
+    data::PredictionItem item;
+    item.area = a;
+    item.day = day;
+    item.t = t;
+    item.week_id = ds_.WeekId(day);
+    offline_inputs.push_back(assembler_->AssembleAdvanced(item));
+    const feature::ModelInput in = predictor.AssembleLive(a);
+    for (int w = 0; w < data::kDaysPerWeek; ++w) {
+      for (int l = 1; l <= t + data::kGapWindow - data::kMinutesPerDay; ++l) {
+        const size_t off = static_cast<size_t>(w) * 2 * kL;
+        EXPECT_EQ(in.h_sd10[off + static_cast<size_t>(l - 1)], 0.0f);
+        EXPECT_EQ(in.h_sd10[off + static_cast<size_t>(kL + l - 1)], 0.0f);
+        EXPECT_EQ(in.h_lc10[off + static_cast<size_t>(l - 1)], 0.0f);
+        EXPECT_EQ(in.h_lc10[off + static_cast<size_t>(kL + l - 1)], 0.0f);
+      }
+    }
+  }
+  std::vector<float> offline = model.Predict(offline_inputs);
+  ASSERT_EQ(live.size(), offline.size());
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(live[i]));
+    EXPECT_EQ(live[i], offline[i]) << "area " << i;
   }
 }
 
