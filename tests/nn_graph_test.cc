@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/nn/grad_check.h"
 
@@ -151,6 +152,10 @@ struct OpCase {
   const char* name;
   LossBuilder build;
 };
+
+// Without this gtest prints a case as its raw bytes, pointers included, and
+// the test names it lists would change with every build and run.
+void PrintTo(const OpCase& op, std::ostream* os) { *os << op.name; }
 
 double MatMulLoss(ParameterStore* store, util::Rng* rng) {
   Parameter* w = store->Find("w");
