@@ -105,11 +105,15 @@ Batch MakeBatch(const InputSource& source, size_t begin, size_t end) {
   return MakeBatch(source, indices);
 }
 
-void ShapeBatch(Batch* batch, int rows, int window, bool advanced) {
+void ShapeBatch(Batch* batch, int rows, int window, bool advanced,
+                int proj_dim) {
+  DEEPSD_CHECK(proj_dim == 0 || advanced);
   const int dim = 2 * window;
   const int hist = data::kDaysPerWeek * dim;
+  const bool projections = proj_dim > 0;
   batch->size = rows;
   batch->has_advanced = advanced;
+  batch->has_projections = projections;
   batch->area_ids.resize(static_cast<size_t>(rows));
   batch->time_ids.resize(static_cast<size_t>(rows));
   batch->week_ids.resize(static_cast<size_t>(rows));
@@ -118,9 +122,18 @@ void ShapeBatch(Batch* batch, int rows, int window, bool advanced) {
   for (nn::Tensor* v : {&batch->v_lc, &batch->v_wt}) {
     Reshape(v, adv_rows, advanced ? dim : 0);
   }
-  for (nn::Tensor* h : {&batch->h_sd, &batch->h_sd10, &batch->h_lc,
-                        &batch->h_lc10, &batch->h_wt, &batch->h_wt10}) {
+  for (nn::Tensor* h : {&batch->h_sd10, &batch->h_lc10, &batch->h_wt10}) {
     Reshape(h, adv_rows, advanced ? hist : 0);
+  }
+  const int ht_rows = projections ? 0 : adv_rows;
+  for (nn::Tensor* h : {&batch->h_sd, &batch->h_lc, &batch->h_wt}) {
+    Reshape(h, ht_rows, advanced && !projections ? hist : 0);
+  }
+  const int cache_rows = projections ? rows : 0;
+  for (size_t s = 0; s < 3; ++s) {
+    Reshape(&batch->weekday_p[s], cache_rows,
+            projections ? data::kDaysPerWeek : 0);
+    Reshape(&batch->proj_e[s], cache_rows, proj_dim);
   }
   batch->weather_types_by_lag.resize(static_cast<size_t>(window));
   for (std::vector<int>& ids : batch->weather_types_by_lag) {
@@ -137,6 +150,7 @@ void SliceRows(const Batch& full, size_t begin, size_t end, Batch* out) {
   const auto e = static_cast<long>(end);
   out->size = static_cast<int>(end - begin);
   out->has_advanced = full.has_advanced;
+  out->has_projections = full.has_projections;
   out->area_ids.assign(full.area_ids.begin() + b, full.area_ids.begin() + e);
   out->time_ids.assign(full.time_ids.begin() + b, full.time_ids.begin() + e);
   out->week_ids.assign(full.week_ids.begin() + b, full.week_ids.begin() + e);
@@ -149,6 +163,10 @@ void SliceRows(const Batch& full, size_t begin, size_t end, Batch* out) {
   out->v_wt = RowView(full.v_wt, begin, end);
   out->h_wt = RowView(full.h_wt, begin, end);
   out->h_wt10 = RowView(full.h_wt10, begin, end);
+  for (size_t s = 0; s < 3; ++s) {
+    out->weekday_p[s] = RowView(full.weekday_p[s], begin, end);
+    out->proj_e[s] = RowView(full.proj_e[s], begin, end);
+  }
   out->weather_types_by_lag.resize(full.weather_types_by_lag.size());
   for (size_t l = 0; l < full.weather_types_by_lag.size(); ++l) {
     const std::vector<int>& ids = full.weather_types_by_lag[l];
@@ -161,6 +179,7 @@ void SliceRows(const Batch& full, size_t begin, size_t end, Batch* out) {
 }
 
 feature::ModelInput RowInput(const Batch& batch, int row) {
+  DEEPSD_CHECK(!batch.has_projections);
   feature::ModelInput in;
   const size_t r = static_cast<size_t>(row);
   in.area_id = batch.area_ids[r];

@@ -1,6 +1,7 @@
 #ifndef DEEPSD_CORE_BATCH_H_
 #define DEEPSD_CORE_BATCH_H_
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -32,7 +33,16 @@ struct Batch {
 
   nn::Tensor target;  ///< [B,1] gap ground truth.
 
+  /// Serving-cache inputs of the extended blocks, per signal {sd, lc, wt}:
+  /// the weekday weights p [B,7] and Proj(E^t) [B,proj_dim]. A batch with
+  /// `has_projections` carries these instead of h_sd/h_lc/h_wt (left
+  /// empty), and the forward reads them in place of the softmax and the
+  /// E^t projection (serving/online_predictor.h, projection ring).
+  std::array<nn::Tensor, 3> weekday_p;
+  std::array<nn::Tensor, 3> proj_e;
+
   bool has_advanced = false;
+  bool has_projections = false;
 };
 
 /// Source of model inputs for training and inference. Implementations may
@@ -102,15 +112,18 @@ Batch PackBatch(std::span<const feature::ModelInput> inputs);
 /// advanced, reusing its storage: a caller that refills one batch per
 /// request allocates only when a request is larger than any before it.
 /// Feature values are left unspecified for the caller to overwrite;
-/// `target` is left empty.
-void ShapeBatch(Batch* batch, int rows, int window, bool advanced);
+/// `target` is left empty. A `proj_dim` > 0 shapes the advanced batch with
+/// projections instead (weekday_p, proj_e, and no H^t blocks).
+void ShapeBatch(Batch* batch, int rows, int window, bool advanced,
+                int proj_dim = 0);
 
 /// Rows [begin, end) of `full` as `out`: the feature tensors become
 /// read-only views into `full`'s storage, the ids are copied. `full` must
 /// outlive every use of `out`.
 void SliceRows(const Batch& full, size_t begin, size_t end, Batch* out);
 
-/// Row `row` of `batch` as a ModelInput (target_gap 0).
+/// Row `row` of `batch` as a ModelInput (target_gap 0). The batch must
+/// carry every feature block (no projections).
 feature::ModelInput RowInput(const Batch& batch, int row);
 
 }  // namespace core

@@ -1,6 +1,8 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -179,16 +181,20 @@ nn::NodeId DeepSDModel::AttachBlock(nn::Graph* g, const nn::Linear& fc1,
 }
 
 nn::NodeId DeepSDModel::ExtendedQuad(nn::Graph* g, const Batch& batch,
-                                     int signal, nn::NodeId v, nn::NodeId h,
-                                     nn::NodeId h10) const {
-  const ExtendedBlock& blk = ext_[static_cast<size_t>(signal)];
+                                     int signal, const nn::Tensor& v,
+                                     const nn::Tensor& h, const nn::Tensor& h10,
+                                     ExtendedNodes* nodes) const {
+  const size_t s = static_cast<size_t>(signal);
+  const ExtendedBlock& blk = ext_[s];
   nn::NodeId p;
-  if (config_.uniform_weekday_weights) {
+  if (batch.has_projections) {
+    p = g->Input(batch.weekday_p[s]);
+  } else if (config_.uniform_weekday_weights) {
     // Reused scratch: moving a fresh tensor into the graph every step
     // would grow the arena pool without bound; the copy-Input below runs
     // on recycled arena storage instead.
     static thread_local nn::Tensor uniform;
-    const int rows = g->value(v).rows();
+    const int rows = v.rows();
     if (uniform.rows() != rows || uniform.cols() != data::kDaysPerWeek) {
       uniform = nn::Tensor(rows, data::kDaysPerWeek);
     }
@@ -206,19 +212,31 @@ nn::NodeId DeepSDModel::ExtendedQuad(nn::Graph* g, const Batch& batch,
     p = g->Softmax(blk.softmax->Apply(g, g->Concat({area, week})));
   }
 
-  nn::NodeId e_t = g->GroupWeightedSum(p, h, data::kDaysPerWeek);
-  nn::NodeId e_t10 = g->GroupWeightedSum(p, h10, data::kDaysPerWeek);
+  // Proj(E^t) is the Proj(E^{t+10}) of the tick ten minutes earlier, which
+  // a serving batch carries instead of H^t.
+  const nn::NodeId e_t =
+      batch.has_projections
+          ? -1
+          : g->GroupWeightedSum(p, g->Input(h), data::kDaysPerWeek);
+  nn::NodeId e_t10 =
+      g->GroupWeightedSum(p, g->Input(h10), data::kDaysPerWeek);
 
-  nn::NodeId pv = FcLRel(g, *blk.proj, v);
-  nn::NodeId pe = FcLRel(g, *blk.proj, e_t);
+  nn::NodeId pv = FcLRel(g, *blk.proj, g->Input(v));
+  nn::NodeId pe = batch.has_projections ? g->Input(batch.proj_e[s])
+                                        : FcLRel(g, *blk.proj, e_t);
   nn::NodeId pe10 = FcLRel(g, *blk.proj, e_t10);
+  if (nodes != nullptr) {
+    nodes->p[s] = p;
+    nodes->proj_e10[s] = pe10;
+  }
   // Estimated Proj(V^{t+10}) = Proj(E^{t+10}) ⊕ (Proj(V^t) ⊖ Proj(E^t)).
   nn::NodeId est = g->Add(pe10, g->Sub(pv, pe));
 
   return g->Concat({pv, pe, pe10, est});
 }
 
-nn::NodeId DeepSDModel::Forward(nn::Graph* g, const Batch& batch) const {
+nn::NodeId DeepSDModel::Forward(nn::Graph* g, const Batch& batch,
+                                ExtendedNodes* nodes) const {
   DEEPSD_CHECK_MSG(mode_ == Mode::kBasic || batch.has_advanced,
                    "advanced model needs advanced features");
   nn::NodeId x_id = IdentityPart(g, batch);
@@ -236,25 +254,22 @@ nn::NodeId DeepSDModel::Forward(nn::Graph* g, const Batch& batch) const {
       concat_parts.push_back(stream);
     }
   } else {
-    nn::NodeId q_sd = ExtendedQuad(g, batch, 0, g->Input(batch.v_sd),
-                                   g->Input(batch.h_sd),
-                                   g->Input(batch.h_sd10));
+    nn::NodeId q_sd = ExtendedQuad(g, batch, 0, batch.v_sd, batch.h_sd,
+                                   batch.h_sd10, nodes);
     const ExtendedBlock& sd = ext_[0];
     stream =
         g->Dropout(BlockMlp(g, *sd.fc1, *sd.fc2, q_sd), config_.dropout);
     if (!config_.use_residual) concat_parts.push_back(stream);
 
     if (config_.use_last_call) {
-      nn::NodeId q_lc = ExtendedQuad(g, batch, 1, g->Input(batch.v_lc),
-                                     g->Input(batch.h_lc),
-                                     g->Input(batch.h_lc10));
+      nn::NodeId q_lc = ExtendedQuad(g, batch, 1, batch.v_lc, batch.h_lc,
+                                     batch.h_lc10, nodes);
       stream = AttachBlock(g, *ext_[1].fc1, *ext_[1].fc2, stream, q_lc,
                            &concat_parts);
     }
     if (config_.use_waiting_time) {
-      nn::NodeId q_wt = ExtendedQuad(g, batch, 2, g->Input(batch.v_wt),
-                                     g->Input(batch.h_wt),
-                                     g->Input(batch.h_wt10));
+      nn::NodeId q_wt = ExtendedQuad(g, batch, 2, batch.v_wt, batch.h_wt,
+                                     batch.h_wt10, nodes);
       stream = AttachBlock(g, *ext_[2].fc1, *ext_[2].fc2, stream, q_wt,
                            &concat_parts);
     }
@@ -287,7 +302,7 @@ std::vector<float> DeepSDModel::Predict(
     const std::vector<feature::ModelInput>& inputs, int batch_size) const {
   std::vector<float> preds(inputs.size());
   const std::span<const feature::ModelInput> all(inputs);
-  ForwardChunks(inputs.size(), batch_size, preds.data(),
+  ForwardChunks(inputs.size(), batch_size, preds.data(), {}, nullptr,
                 [&](size_t begin, size_t end, Batch* scratch) -> const Batch& {
                   *scratch = PackBatch(all.subspan(begin, end - begin));
                   return *scratch;
@@ -298,7 +313,7 @@ std::vector<float> DeepSDModel::Predict(
 std::vector<float> DeepSDModel::Predict(const InputSource& source,
                                         int batch_size) const {
   std::vector<float> preds(source.size());
-  ForwardChunks(source.size(), batch_size, preds.data(),
+  ForwardChunks(source.size(), batch_size, preds.data(), {}, nullptr,
                 [&](size_t begin, size_t end, Batch* scratch) -> const Batch& {
                   *scratch = MakeBatch(source, begin, end);
                   return *scratch;
@@ -306,17 +321,21 @@ std::vector<float> DeepSDModel::Predict(const InputSource& source,
   return preds;
 }
 
-void DeepSDModel::PredictRows(const Batch& batch, size_t begin, size_t end,
-                              int batch_size, float* out) const {
-  ForwardChunks(end - begin, batch_size, out,
-                [&](size_t b, size_t e, Batch* scratch) -> const Batch& {
-                  SliceRows(batch, begin + b, begin + e, scratch);
-                  return *scratch;
-                });
+bool DeepSDModel::PredictRows(const Batch& batch, size_t begin, size_t end,
+                              int batch_size, float* out,
+                              util::Deadline deadline,
+                              const ExtendedState* state) const {
+  return ForwardChunks(
+      end - begin, batch_size, out, deadline, state,
+      [&](size_t b, size_t e, Batch* scratch) -> const Batch& {
+        SliceRows(batch, begin + b, begin + e, scratch);
+        return *scratch;
+      });
 }
 
-void DeepSDModel::ForwardChunks(
-    size_t n, int batch_size, float* out,
+bool DeepSDModel::ForwardChunks(
+    size_t n, int batch_size, float* out, util::Deadline deadline,
+    const ExtendedState* state,
     const std::function<const Batch&(size_t, size_t, Batch*)>& chunk) const {
   // Chunks run in parallel on the shared pool, each writing its disjoint
   // slice of `out`. Every forward op computes each batch row
@@ -326,22 +345,65 @@ void DeepSDModel::ForwardChunks(
   // whose arena recycles tensor storage across chunks (and across Predict
   // calls); recycled buffers are re-zeroed on acquire, so reuse cannot
   // change any value.
+  //
+  // A chunk starts only while the deadline holds: one relaxed flag load
+  // plus a clock read, so a request that expires mid-forward stops
+  // burning pool time almost immediately.
+  std::atomic<bool> expired{false};
   const size_t span = static_cast<size_t>(std::max(batch_size, 1));
   util::ThreadPool::Global().ParallelFor(
       0, n, span, [&](size_t begin, size_t end) {
+        if (expired.load(std::memory_order_relaxed)) return;
+        if (deadline.expired()) {
+          expired.store(true, std::memory_order_relaxed);
+          return;
+        }
         static thread_local Batch scratch;
         const Batch& batch = chunk(begin, end, &scratch);
         static thread_local nn::Graph g;
         g.Clear();
         g.set_training(false);
-        nn::NodeId pred = Forward(&g, batch);
+        ExtendedNodes nodes;
+        nn::NodeId pred =
+            Forward(&g, batch, state != nullptr ? &nodes : nullptr);
         const nn::Tensor& result = g.value(pred);
         for (int r = 0; r < result.rows(); ++r) {
           float v = result.at(r, 0);
           if (config_.clamp_nonnegative) v = std::max(v, 0.0f);
           out[begin + static_cast<size_t>(r)] = v;
         }
+        if (state == nullptr) return;
+        auto copy_rows = [&](nn::NodeId node, float* dst) {
+          if (node < 0) return;  // a signal the model lacks
+          const nn::Tensor& t = g.value(node);
+          const size_t cols = static_cast<size_t>(t.cols());
+          std::copy(t.data(), t.data() + t.size(), dst + begin * cols);
+        };
+        for (size_t s = 0; s < 3; ++s) {
+          copy_rows(nodes.p[s], state->p[s]);
+          copy_rows(nodes.proj_e10[s], state->proj_e10[s]);
+        }
       });
+  return !expired.load(std::memory_order_relaxed);
+}
+
+void DeepSDModel::ExtendedStamp(std::vector<uint64_t>* out) const {
+  DEEPSD_CHECK(mode_ == Mode::kAdvanced);
+  auto stamp = [out](const nn::Parameter* p) {
+    out->push_back(p->version());
+    out->push_back(std::bit_cast<uint32_t>(p->act_absmax));
+  };
+  if (config_.use_embedding) {
+    stamp(area_embed_->table());
+    stamp(week_embed_->table());
+  }
+  for (const ExtendedBlock& blk : ext_) {
+    if (blk.proj == nullptr) continue;
+    for (const nn::Linear* fc : {blk.softmax.get(), blk.proj.get()}) {
+      stamp(fc->weight());
+      stamp(fc->bias());
+    }
+  }
 }
 
 std::array<float, data::kDaysPerWeek> DeepSDModel::CombiningWeights(

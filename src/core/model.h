@@ -12,6 +12,7 @@
 #include "core/deepsd_config.h"
 #include "nn/graph.h"
 #include "nn/layers.h"
+#include "util/deadline.h"
 
 namespace deepsd {
 namespace core {
@@ -49,9 +50,21 @@ class DeepSDModel {
   const DeepSDConfig& config() const { return config_; }
   Mode mode() const { return mode_; }
 
+  /// Nodes of one forward graph that hold each extended block's weekday
+  /// weights p and Proj(E^{t+10}), per signal {sd, lc, wt}; -1 for a signal
+  /// the model lacks.
+  struct ExtendedNodes {
+    std::array<nn::NodeId, 3> p{-1, -1, -1};
+    std::array<nn::NodeId, 3> proj_e10{-1, -1, -1};
+  };
+
   /// Builds the forward graph for one batch; returns the [B,1] prediction
-  /// node. Dropout follows g->training().
-  nn::NodeId Forward(nn::Graph* g, const Batch& batch) const;
+  /// node. Dropout follows g->training(). A batch with projections reads p
+  /// and Proj(E^t) from the batch instead of computing them; the rest of
+  /// the graph, and every row's bits, are the same. `nodes`, when given,
+  /// receives the extended blocks' p and Proj(E^{t+10}) nodes.
+  nn::NodeId Forward(nn::Graph* g, const Batch& batch,
+                     ExtendedNodes* nodes = nullptr) const;
 
   /// Inference over an input source (eval mode, batched). Predictions are
   /// clamped at 0 when config().clamp_nonnegative.
@@ -62,13 +75,31 @@ class DeepSDModel {
   std::vector<float> Predict(const std::vector<feature::ModelInput>& inputs,
                              int batch_size = 256) const;
 
+  /// Where a forward writes each row's extended-block state for reuse at
+  /// later ticks: per signal s, the weekday weights p ([rows, 7] at p[s])
+  /// and Proj(E^{t+10}) ([rows, proj_dim] at proj_e10[s]), row-major from
+  /// the first forwarded row. Signals the model lacks are left unwritten.
+  struct ExtendedState {
+    std::array<float*, 3> p{};
+    std::array<float*, 3> proj_e10{};
+  };
+
   /// Inference over rows [begin, end) of an assembled batch, written to
   /// out[0, end - begin). The rows run in chunks of `batch_size` that read
   /// the batch in place. A row's prediction never depends on which rows
   /// share its chunk, so every overload gives the same bits for the same
-  /// features.
-  void PredictRows(const Batch& batch, size_t begin, size_t end,
-                   int batch_size, float* out) const;
+  /// features. Each chunk starts only while `deadline` holds: returns
+  /// false, with `out` partly unwritten, when it expired first. `state`
+  /// (advanced mode) also receives every row's extended-block state.
+  bool PredictRows(const Batch& batch, size_t begin, size_t end,
+                   int batch_size, float* out, util::Deadline deadline,
+                   const ExtendedState* state) const;
+
+  /// Appends a stamp of every parameter that p and the projections read:
+  /// each one's version() and its int8 calibration. Equal stamps mean a
+  /// cached p or Proj(·) row is still what the model would compute.
+  /// Advanced mode only.
+  void ExtendedStamp(std::vector<uint64_t>* out) const;
 
   /// The learnt 7-dim day-of-week combining weights p for (area, week) from
   /// the extended supply-demand block (paper Eq. 1 / Fig 15). Advanced mode
@@ -88,15 +119,20 @@ class DeepSDModel {
  private:
   /// The eval forward over rows [0, n) in parallel chunks of `batch_size`:
   /// `chunk(begin, end, scratch)` returns the chunk's batch, built in the
-  /// worker's reusable `scratch` or borrowed. Writes out[0, n).
-  void ForwardChunks(
-      size_t n, int batch_size, float* out,
+  /// worker's reusable `scratch` or borrowed. Writes out[0, n) (and
+  /// `state`'s rows); false when `deadline` expired before some chunk.
+  bool ForwardChunks(
+      size_t n, int batch_size, float* out, util::Deadline deadline,
+      const ExtendedState* state,
       const std::function<const Batch&(size_t, size_t, Batch*)>& chunk) const;
   nn::NodeId IdentityPart(nn::Graph* g, const Batch& batch) const;
   nn::NodeId WeatherVector(nn::Graph* g, const Batch& batch) const;
-  /// The four-projection concat of one extended block (Fig 9).
+  /// The four-projection concat of one extended block (Fig 9), over the
+  /// block's V, H^t and H^{t+10} (H^t unread when the batch has
+  /// projections).
   nn::NodeId ExtendedQuad(nn::Graph* g, const Batch& batch, int signal,
-                          nn::NodeId v, nn::NodeId h, nn::NodeId h10) const;
+                          const nn::Tensor& v, const nn::Tensor& h,
+                          const nn::Tensor& h10, ExtendedNodes* nodes) const;
   /// FC layer followed by LReL — fused into one kernel pass when the
   /// configured alpha permits (alpha > 0), the unfused op pair otherwise.
   /// Both paths are bitwise identical.

@@ -2,11 +2,14 @@
 #define DEEPSD_SERVING_ONLINE_PREDICTOR_H_
 
 #include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "baselines/empirical_average.h"
 #include "core/model.h"
 #include "feature/feature_assembler.h"
+#include "nn/kernels.h"
 #include "serving/order_stream.h"
 #include "store/versioned_model.h"
 #include "util/deadline.h"
@@ -176,11 +179,11 @@ class OnlinePredictor {
   std::vector<float> PredictBatch(const std::vector<int>& area_ids) const;
   /// Deadline-aware variant with the per-call outcome: the deadline is
   /// checked at cheap cancellation checkpoints — on entry, per feature-
-  /// assembly chunk, and between forward-pass sub-batches — and once it
-  /// expires the remaining expensive stages are abandoned in favor of the
-  /// baseline (see PredictResult::deadline_expired). An infinite deadline
-  /// (the default Deadline) takes exactly the legacy code path, bit for
-  /// bit. Counted in serving/predict_deadline_expired when abandoned.
+  /// assembly chunk, and per 16-row forward chunk — and once it expires
+  /// the remaining expensive stages are abandoned in favor of the baseline
+  /// (see PredictResult::deadline_expired). Answers that are served never
+  /// depend on the deadline. Counted in serving/predict_deadline_expired
+  /// when abandoned.
   PredictResult PredictBatch(const std::vector<int>& area_ids,
                              util::Deadline deadline) const;
   /// Variant serving from an externally pinned model version — the
@@ -230,10 +233,13 @@ class OnlinePredictor {
                   const core::DeepSDModel& model,
                   OrderStreamBuffer::Snapshot* snap) const;
   /// The row fill behind every live assembly: writes rows [begin, end) of
-  /// `batch` (already shaped for the call) with the features of
-  /// areas[begin, end) at `tier`, reading `snap` (taken for those same
-  /// areas by TakeInputs) and the assembler's history in place.
-  void FillRows(const int* areas, size_t begin, size_t end, FallbackTier tier,
+  /// `batch` (already shaped for the call) at `tier`, row r with the
+  /// features of request index i = index[r] (r when `index` is null): area
+  /// areas[i] and row i of `snap` (taken for `areas` by TakeInputs), plus
+  /// the assembler's history in place. A batch with projections gets no
+  /// H^t: its p and Proj(E^t) come from the projection cache.
+  void FillRows(const int* areas, const uint32_t* index, size_t begin,
+                size_t end, FallbackTier tier,
                 const OrderStreamBuffer::Snapshot& snap,
                 core::Batch* batch) const;
   /// AssembleLive body at a given tier and model.
@@ -251,6 +257,68 @@ class OnlinePredictor {
                                    util::Deadline deadline,
                                    store::PinnedModel pinned) const;
 
+  /// The serving-day state of DeepSD's extended blocks
+  /// (docs/performance.md, "Projection ring"). The weekday weights p come
+  /// from a softmax over (AreaID, WeekID), so they are constant for a
+  /// serving day, and live history does not depend on the serving day, so
+  /// the Proj(E^{t+10}) a tick at t computes is the Proj(E^t) the tick at
+  /// t+10 needs. Per area this holds p and a ring of Proj(E) rows
+  /// kRingMinutes deep, for all three signals. Entries hold only under the
+  /// key they were written with: a call under another key (new model or
+  /// version, retrained parameters, another kernel mode or serving day)
+  /// clears them. Thread-safe; the lock is held only to copy rows.
+  class ProjectionCache {
+   public:
+    /// Minutes t..t+10: the ring slot a tick reads plus the ten it fills
+    /// ahead of it.
+    static constexpr int kRingMinutes = data::kGapWindow + 1;
+
+    struct Key {
+      const core::DeepSDModel* model = nullptr;
+      uint64_t sequence = 0;
+      nn::kernels::KernelMode kernel_mode = nn::kernels::KernelMode::kBlocked;
+      int day = -1;
+      std::vector<uint64_t> params;  ///< DeepSDModel::ExtendedStamp
+      bool operator==(const Key&) const = default;
+    };
+
+    explicit ProjectionCache(int num_areas)
+        : num_areas_(static_cast<size_t>(num_areas)) {}
+
+    /// Orders the request rows so that those hitting at minute `t` come
+    /// first (p cached and Proj(E^t) in the ring; none when `!allow_hits`):
+    /// `order[i]` is the request index of row i. Shapes `hits` for them,
+    /// with their p and Proj(E^t) copied in, and `misses` with every
+    /// feature block for the rest. Returns the number of hits.
+    size_t Split(const Key& key, const std::vector<int>& areas, int t,
+                 bool allow_hits, int window, std::vector<uint32_t>* order,
+                 core::Batch* hits, core::Batch* misses);
+    /// Stores what a forward over those rows at minute `t` produced: each
+    /// row's p and Proj(E^{t+10}), `state` laid out as
+    /// DeepSDModel::ExtendedState over all rows in `order`. Dropped when
+    /// the cache moved to another key meanwhile.
+    void Store(const Key& key, const std::vector<int>& areas,
+               const std::vector<uint32_t>& order, int t,
+               const core::DeepSDModel::ExtendedState& state);
+
+   private:
+    /// Clears every entry and re-keys to `key` (caller holds mu_).
+    void Reset(const Key& key);
+
+    const size_t num_areas_;
+    std::mutex mu_;  ///< Guards every member below.
+    Key key_;
+    int proj_dim_ = 0;
+    std::vector<uint8_t> has_p_;  ///< [area]
+    std::vector<float> p_;        ///< [area][signal][7]
+    std::vector<int> stamp_;      ///< [area][slot]: minute held, -1 none
+    std::vector<float> ring_;     ///< [area][slot][signal][proj_dim]
+  };
+
+  /// Fills `key` for a call serving `day` from `rm`.
+  static void CacheKey(const Resolved& rm, int day,
+                       ProjectionCache::Key* key);
+
   const core::DeepSDModel* model_ = nullptr;  ///< null when versioned
   store::VersionedModel* versions_ = nullptr;  ///< null when static
   const feature::FeatureAssembler* history_;
@@ -258,6 +326,7 @@ class OnlinePredictor {
   FallbackConfig fallback_;
   std::atomic<PredictionObserver*> observer_{nullptr};
   OrderStreamBuffer buffer_;
+  mutable ProjectionCache cache_;
 };
 
 }  // namespace serving

@@ -140,7 +140,9 @@ class ByteReader {
 
   bool GetRaw(void* out, size_t size) {
     if (size > remaining()) return false;
-    std::memcpy(out, data_ + pos_, size);
+    // memcpy wants valid pointers even for zero bytes, and an empty
+    // buffer's (or destination vector's) data() may be null.
+    if (size > 0) std::memcpy(out, data_ + pos_, size);
     pos_ += size;
     return true;
   }

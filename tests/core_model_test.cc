@@ -81,6 +81,10 @@ struct VariantCase {
   bool traffic;
 };
 
+// Without this gtest prints a case as its raw bytes, pointers included, and
+// the test names it lists would change with every build and run.
+void PrintTo(const VariantCase& vc, std::ostream* os) { *os << vc.name; }
+
 class ModelVariantTest : public ModelTest,
                          public ::testing::WithParamInterface<VariantCase> {};
 

@@ -218,8 +218,8 @@ TEST_F(LiveBatchParityTest, BatchRowsEqualAssembleLiveAtEveryTier) {
   const nn::kernels::KernelMode kernel_modes[] = {
       nn::kernels::KernelMode::kNaive, nn::kernels::KernelMode::kBlocked,
       nn::kernels::KernelMode::kQuant};
-  // 150 rows with repeats: several 16-row forward chunks and 64-row
-  // deadline sub-batches, each row read back from its own place.
+  // 150 rows with repeats: several 16-row forward chunks, each row read
+  // back from its own place.
   std::vector<int> areas;
   for (int i = 0; i < 150; ++i) areas.push_back((i * 7 + i / 5) % 5);
 

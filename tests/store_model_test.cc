@@ -82,7 +82,10 @@ std::vector<char> ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // fwrite's buffer must be non-null even for zero bytes.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 

@@ -168,6 +168,35 @@ TEST(ByteReaderTest, SkipBoundsChecked) {
   EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(ByteReaderTest, ZeroByteReadsOfAnEmptyBuffer) {
+  // Zero-byte reads succeed on a buffer whose data() is null, into a
+  // destination that is null too; anything larger fails.
+  const std::vector<char> empty;
+  ByteReader r(empty);
+  EXPECT_TRUE(r.GetRaw(nullptr, 0));
+  EXPECT_TRUE(r.Skip(0));
+  std::vector<float> floats;
+  EXPECT_TRUE(r.GetRaw(floats.data(), 0));
+  uint32_t pod = 7;
+  EXPECT_FALSE(r.GetPod(&pod));
+  EXPECT_EQ(pod, 7u);
+  EXPECT_EQ(r.position(), 0u);
+
+  ByteWriter w;
+  w.PutPodVec(std::vector<double>{});
+  w.PutString("");
+  PutFloatBlock(&w, floats.data(), 0, nullptr);
+  ByteReader vr(w.bytes());
+  std::vector<double> out = {1.0};
+  EXPECT_TRUE(vr.GetPodVec(&out));
+  EXPECT_TRUE(out.empty());
+  std::string s = "x";
+  EXPECT_TRUE(vr.GetString(&s));
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(GetFloatBlock(&vr, floats.data(), 0, nullptr));
+  EXPECT_EQ(vr.remaining(), 0u);
+}
+
 TEST(ByteReaderTest, PodVecHugeCountRejectedWithoutAllocation) {
   ByteWriter w;
   w.PutPod<uint64_t>(std::numeric_limits<uint64_t>::max());  // absurd count
@@ -195,8 +224,9 @@ void RoundTrip(const std::vector<float>& data, const float* ref,
   ByteReader r(w.bytes());
   std::vector<float> out(data.size());
   ASSERT_TRUE(GetFloatBlock(&r, out.data(), out.size(), ref)) << what;
-  EXPECT_EQ(0, std::memcmp(data.data(), out.data(),
-                           data.size() * sizeof(float)))
+  // memcmp wants non-null pointers even for zero bytes.
+  EXPECT_TRUE(data.empty() || std::memcmp(data.data(), out.data(),
+                                          data.size() * sizeof(float)) == 0)
       << what;
 }
 
