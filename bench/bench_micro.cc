@@ -1,8 +1,16 @@
 // Microbenchmarks (google-benchmark) for the performance-critical pieces:
 // dense matmul, autograd forward/backward of a DeepSD-shaped block, the
-// embedding lookup, feature assembly, simulator throughput and tree split
-// search. These are the knobs that dominate the end-to-end training time
-// reported in Table III.
+// embedding lookup, feature assembly, simulator throughput, tree split
+// search, and the advanced model's train step and eval forward. These are
+// the knobs that dominate the end-to-end training time reported in Table
+// III and the per-row cost of a served forward.
+
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +26,8 @@
 #include "obs/openmetrics.h"
 #include "obs/timeline.h"
 #include "sim/city_sim.h"
+#include "store/pack.h"
+#include "store/stored_model.h"
 
 namespace deepsd {
 namespace {
@@ -237,6 +247,57 @@ void BM_DeepSDTrainStepReused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeepSDTrainStepReused)->Unit(benchmark::kMillisecond);
+
+void BM_DeepSDEvalForwardReused(benchmark::State& state) {
+  // The serving forward's unit: one advanced-model eval forward over
+  // range(0) rows on a long-lived graph, no loss and no backward. With
+  // range(1) = 1 the parameters come from a raw-fp32 DSAR1 artifact packed
+  // from the same store and opened as a read-only mapping, the way a
+  // served model binds them; with 0, from the in-memory store.
+  MicroFixtures& f = MicroFixtures::Get();
+  const int rows = static_cast<int>(state.range(0));
+  core::DeepSDConfig config;
+  config.num_areas = f.dataset.num_areas();
+  nn::ParameterStore store;
+  util::Rng rng(11);
+  core::DeepSDModel model(config, core::DeepSDModel::Mode::kAdvanced, &store,
+                          &rng);
+  std::shared_ptr<const store::StoredModel> stored;
+  if (state.range(1) == 1) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("bench_micro_eval_forward." + std::to_string(::getpid()) + ".dsar"))
+            .string();
+    util::Status s = store::PackModelArtifact(model, store, nullptr,
+                                              store::PackOptions(), path);
+    if (s.ok()) s = store::StoredModel::Open(path, &stored);
+    std::remove(path.c_str());  // the mapping outlives the directory entry
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+  }
+  const core::DeepSDModel& served = stored ? stored->model() : model;
+  std::vector<feature::ModelInput> inputs;
+  for (int i = 0; i < rows; ++i) {
+    inputs.push_back(f.assembler->AssembleAdvanced(
+        f.items[static_cast<size_t>(i) % f.items.size()]));
+  }
+  core::Batch batch =
+      core::MakeBatch(core::VectorSource(inputs), 0, inputs.size());
+  nn::Graph g;
+  g.set_training(false);
+  for (auto _ : state) {
+    g.Clear();
+    nn::NodeId pred = served.Forward(&g, batch);
+    benchmark::DoNotOptimize(g.value(pred).data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_DeepSDEvalForwardReused)
+    ->ArgsProduct({{16, 500}, {0, 1}})
+    ->ArgNames({"rows", "mapped"})
+    ->Unit(benchmark::kMicrosecond);
 
 /// Registry shaped like the serving process: a mix of counters, gauges and
 /// latency histograms at the cardinality deepsd_simulate actually reaches.

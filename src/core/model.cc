@@ -13,7 +13,14 @@ namespace core {
 
 namespace {
 const char* kSignalNames[3] = {"ext_sd", "ext_lc", "ext_wt"};
+
+// A feature block of the batch as an input node. The batch outlives the
+// forward and its Backward (serving and the trainer both hold it), so the
+// node aliases the block instead of copying it.
+nn::NodeId BatchInput(nn::Graph* g, const nn::Tensor& block) {
+  return g->Input(nn::Tensor::View(block.data(), block.rows(), block.cols()));
 }
+}  // namespace
 
 DeepSDModel::DeepSDModel(const DeepSDConfig& config, Mode mode,
                          nn::ParameterStore* store, util::Rng* rng)
@@ -149,7 +156,7 @@ nn::NodeId DeepSDModel::WeatherVector(nn::Graph* g, const Batch& batch) const {
     parts.push_back(config_.use_embedding ? weather_embed_->Apply(g, ids)
                                           : weather_onehot_->Apply(g, ids));
   }
-  parts.push_back(g->Input(batch.weather_reals));
+  parts.push_back(BatchInput(g, batch.weather_reals));
   return g->Concat(parts);
 }
 
@@ -188,7 +195,7 @@ nn::NodeId DeepSDModel::ExtendedQuad(nn::Graph* g, const Batch& batch,
   const ExtendedBlock& blk = ext_[s];
   nn::NodeId p;
   if (batch.has_projections) {
-    p = g->Input(batch.weekday_p[s]);
+    p = BatchInput(g, batch.weekday_p[s]);
   } else if (config_.uniform_weekday_weights) {
     // Reused scratch: moving a fresh tensor into the graph every step
     // would grow the arena pool without bound; the copy-Input below runs
@@ -217,12 +224,12 @@ nn::NodeId DeepSDModel::ExtendedQuad(nn::Graph* g, const Batch& batch,
   const nn::NodeId e_t =
       batch.has_projections
           ? -1
-          : g->GroupWeightedSum(p, g->Input(h), data::kDaysPerWeek);
+          : g->GroupWeightedSum(p, BatchInput(g, h), data::kDaysPerWeek);
   nn::NodeId e_t10 =
-      g->GroupWeightedSum(p, g->Input(h10), data::kDaysPerWeek);
+      g->GroupWeightedSum(p, BatchInput(g, h10), data::kDaysPerWeek);
 
-  nn::NodeId pv = FcLRel(g, *blk.proj, g->Input(v));
-  nn::NodeId pe = batch.has_projections ? g->Input(batch.proj_e[s])
+  nn::NodeId pv = FcLRel(g, *blk.proj, BatchInput(g, v));
+  nn::NodeId pe = batch.has_projections ? BatchInput(g, batch.proj_e[s])
                                         : FcLRel(g, *blk.proj, e_t);
   nn::NodeId pe10 = FcLRel(g, *blk.proj, e_t10);
   if (nodes != nullptr) {
@@ -248,7 +255,7 @@ nn::NodeId DeepSDModel::Forward(nn::Graph* g, const Batch& batch,
 
   nn::NodeId stream;
   if (mode_ == Mode::kBasic) {
-    nn::NodeId v_sd = g->Input(batch.v_sd);
+    nn::NodeId v_sd = BatchInput(g, batch.v_sd);
     stream = g->Dropout(BlockMlp(g, *sd_fc1_, *sd_fc2_, v_sd), config_.dropout);
     if (!config_.use_residual) {
       concat_parts.push_back(stream);
@@ -280,7 +287,7 @@ nn::NodeId DeepSDModel::Forward(nn::Graph* g, const Batch& batch,
     stream = AttachBlock(g, *wc_fc1_, *wc_fc2_, stream, v_wc, &concat_parts);
   }
   if (config_.use_traffic) {
-    nn::NodeId v_tc = g->Input(batch.v_tc);
+    nn::NodeId v_tc = BatchInput(g, batch.v_tc);
     stream = AttachBlock(g, *tc_fc1_, *tc_fc2_, stream, v_tc, &concat_parts);
   }
 

@@ -62,7 +62,9 @@ class DeepSDModel {
   /// node. Dropout follows g->training(). A batch with projections reads p
   /// and Proj(E^t) from the batch instead of computing them; the rest of
   /// the graph, and every row's bits, are the same. `nodes`, when given,
-  /// receives the extended blocks' p and Proj(E^{t+10}) nodes.
+  /// receives the extended blocks' p and Proj(E^{t+10}) nodes. The batch's
+  /// feature blocks enter the graph as views, so `batch` must outlive every
+  /// read of the graph's values and its Backward.
   nn::NodeId Forward(nn::Graph* g, const Batch& batch,
                      ExtendedNodes* nodes = nullptr) const;
 

@@ -22,7 +22,8 @@ Tensor TensorArena::Acquire(int rows, int cols, bool zeroed) {
 }
 
 void TensorArena::Release(Tensor&& t) {
-  if (t.size() == 0) return;
+  // A view borrows its floats from storage the arena does not own.
+  if (t.size() == 0 || t.is_view()) return;
   std::vector<float> storage = t.ReleaseStorage();
   pool_[storage.size()].push_back(std::move(storage));
 }

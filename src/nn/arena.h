@@ -37,7 +37,8 @@ class TensorArena {
   /// overwritten before being read.
   Tensor Acquire(int rows, int cols, bool zeroed = true);
 
-  /// Returns the tensor's storage to the pool. Empty tensors are ignored.
+  /// Returns the tensor's storage to the pool. Empty tensors and views
+  /// (which own no storage) are ignored.
   void Release(Tensor&& t);
 
   /// Drops all pooled buffers (frees memory).

@@ -10,7 +10,9 @@ namespace nn {
 
 Tensor Graph::AcquireValueSlot(int rows, int cols, bool zeroed) {
   const size_t count = static_cast<size_t>(rows) * static_cast<size_t>(cols);
-  if (live_ < nodes_.size() && count > 0 &&
+  // A view left in the slot by an aliasing Param/Input owns nothing to
+  // reuse; the arena ignores it.
+  if (live_ < nodes_.size() && count > 0 && !nodes_[live_].value.is_view() &&
       nodes_[live_].value.size() == count) {
     Tensor t(rows, cols, nodes_[live_].value.ReleaseStorage());
     if (zeroed) std::fill(t.data(), t.data() + count, 0.0f);
@@ -37,20 +39,11 @@ NodeId Graph::AddNode(Op op, Tensor value) {
   Node& n = nodes_[live_];
   n.op = op;
   // The slot's retained value is normally already gone (AcquireValueSlot
-  // moved it into `value`); when an adopting Input bypassed that path,
-  // hand the leftover to the arena instead of freeing it.
+  // moved it into `value`); when an adopting Input or an aliasing Param
+  // bypassed that path, hand the leftover to the arena instead of freeing
+  // it. The grad is left alone: Backward sizes and zeroes it.
   arena_.Release(std::move(n.value));
   n.value = std::move(value);
-  const size_t count = n.value.size();
-  if (n.grad.size() == count && count > 0) {
-    // Retained grad from the previous replay: rebind the shape and re-zero.
-    Tensor g(n.value.rows(), n.value.cols(), n.grad.ReleaseStorage());
-    std::fill(g.data(), g.data() + count, 0.0f);
-    n.grad = std::move(g);
-  } else {
-    arena_.Release(std::move(n.grad));
-    n.grad = arena_.Acquire(n.value.rows(), n.value.cols(), /*zeroed=*/true);
-  }
   n.param = nullptr;
   n.a = n.b = n.c = -1;
   n.scalar = 0.0f;
@@ -73,11 +66,16 @@ NodeId Graph::Input(Tensor&& value) {
 
 NodeId Graph::Param(Parameter* p) {
   DEEPSD_CHECK(p != nullptr);
-  // Read through a const ref: the value may be a read-only view into a
-  // model-store mapping (nn/tensor.h).
   const Tensor& value = p->value;
-  Tensor out = AcquireValueSlot(value.rows(), value.cols(), /*zeroed=*/false);
-  std::copy(value.data(), value.data() + value.size(), out.data());
+  Tensor out;
+  if (value.is_view()) {
+    // Read-only storage (a model-store mapping) cannot change under the
+    // graph, so aliasing it reads exactly what a bind-time copy would.
+    out = Tensor::View(value.data(), value.rows(), value.cols());
+  } else {
+    out = AcquireValueSlot(value.rows(), value.cols(), /*zeroed=*/false);
+    std::copy(value.data(), value.data() + value.size(), out.data());
+  }
   NodeId id = AddNode(Op::kParam, std::move(out));
   node(id).param = p;
   return id;
@@ -89,8 +87,9 @@ namespace {
 // in at 10% so a few outlier batches cannot blow up the static scale.
 void CalibrateActivation(Parameter* wp, const Tensor& x) {
   float amax = 0.0f;
-  for (float v : x.flat()) {
-    const float a = std::fabs(v);
+  const float* xd = x.data();
+  for (size_t i = 0; i < x.size(); ++i) {
+    const float a = std::fabs(xd[i]);
     if (a > amax) amax = a;
   }
   if (!std::isfinite(amax)) return;
@@ -181,9 +180,10 @@ NodeId Graph::Add(NodeId a, NodeId b) {
   const Tensor& bv = value(b);
   DEEPSD_CHECK(av.SameShape(bv));
   Tensor out = AcquireValueSlot(av.rows(), av.cols(), /*zeroed=*/false);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.flat()[i] = av.flat()[i] + bv.flat()[i];
-  }
+  const float* ad = av.data();
+  const float* bd = bv.data();
+  float* o = out.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] = ad[i] + bd[i];
   NodeId id = AddNode(Op::kAdd, std::move(out));
   Node& n = node(id);
   n.a = a;
@@ -196,9 +196,10 @@ NodeId Graph::Sub(NodeId a, NodeId b) {
   const Tensor& bv = value(b);
   DEEPSD_CHECK(av.SameShape(bv));
   Tensor out = AcquireValueSlot(av.rows(), av.cols(), /*zeroed=*/false);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.flat()[i] = av.flat()[i] - bv.flat()[i];
-  }
+  const float* ad = av.data();
+  const float* bd = bv.data();
+  float* o = out.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] = ad[i] - bd[i];
   NodeId id = AddNode(Op::kSub, std::move(out));
   Node& n = node(id);
   n.a = a;
@@ -211,9 +212,10 @@ NodeId Graph::Mul(NodeId a, NodeId b) {
   const Tensor& bv = value(b);
   DEEPSD_CHECK(av.SameShape(bv));
   Tensor out = AcquireValueSlot(av.rows(), av.cols(), /*zeroed=*/false);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.flat()[i] = av.flat()[i] * bv.flat()[i];
-  }
+  const float* ad = av.data();
+  const float* bd = bv.data();
+  float* o = out.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] = ad[i] * bd[i];
   NodeId id = AddNode(Op::kMul, std::move(out));
   Node& n = node(id);
   n.a = a;
@@ -224,7 +226,9 @@ NodeId Graph::Mul(NodeId a, NodeId b) {
 NodeId Graph::Scale(NodeId a, float s) {
   const Tensor& av = value(a);
   Tensor out = AcquireValueSlot(av.rows(), av.cols(), /*zeroed=*/false);
-  for (size_t i = 0; i < out.size(); ++i) out.flat()[i] = av.flat()[i] * s;
+  const float* ad = av.data();
+  float* o = out.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] = ad[i] * s;
   NodeId id = AddNode(Op::kScale, std::move(out));
   Node& n = node(id);
   n.a = a;
@@ -279,9 +283,11 @@ NodeId Graph::SliceCols(NodeId x, int begin, int end) {
 NodeId Graph::LeakyRelu(NodeId x, float alpha) {
   const Tensor& xv = value(x);
   Tensor out = AcquireValueSlot(xv.rows(), xv.cols(), /*zeroed=*/false);
+  const float* xd = xv.data();
+  float* o = out.data();
   for (size_t i = 0; i < out.size(); ++i) {
-    float v = xv.flat()[i];
-    out.flat()[i] = v < 0.0f ? v * alpha : v;
+    const float v = xd[i];
+    o[i] = v < 0.0f ? v * alpha : v;
   }
   NodeId id = AddNode(Op::kLeakyRelu, std::move(out));
   Node& n = node(id);
@@ -317,13 +323,14 @@ NodeId Graph::Dropout(NodeId x, float p) {
   Tensor mask = AcquireAuxSlot(xv.rows(), xv.cols(), /*zeroed=*/false);
   float keep = 1.0f - p;
   float scale = 1.0f / keep;
-  for (float& m : mask.flat()) {
-    m = rng_->Bernoulli(keep) ? scale : 0.0f;
+  float* m = mask.data();
+  for (size_t i = 0; i < mask.size(); ++i) {
+    m[i] = rng_->Bernoulli(keep) ? scale : 0.0f;
   }
   Tensor out = AcquireValueSlot(xv.rows(), xv.cols(), /*zeroed=*/false);
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.flat()[i] = xv.flat()[i] * mask.flat()[i];
-  }
+  const float* xd = xv.data();
+  float* o = out.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] = xd[i] * m[i];
   NodeId id = AddNode(Op::kDropout, std::move(out));
   Node& n = node(id);
   n.a = x;
@@ -386,9 +393,11 @@ NodeId Graph::MseLoss(NodeId pred, const Tensor& target, double denom) {
   const Tensor& pv = value(pred);
   DEEPSD_CHECK(pv.SameShape(target));
   DEEPSD_CHECK(denom > 0.0);
+  const float* pd = pv.data();
+  const float* td = target.data();
   double sum = 0.0;
   for (size_t i = 0; i < pv.size(); ++i) {
-    double d = static_cast<double>(pv.flat()[i]) - target.flat()[i];
+    double d = static_cast<double>(pd[i]) - td[i];
     sum += d * d;
   }
   Tensor aux = AcquireAuxSlot(target.rows(), target.cols(), /*zeroed=*/false);
@@ -406,9 +415,11 @@ NodeId Graph::MseLoss(NodeId pred, const Tensor& target, double denom) {
 NodeId Graph::MaeLoss(NodeId pred, const Tensor& target) {
   const Tensor& pv = value(pred);
   DEEPSD_CHECK(pv.SameShape(target));
+  const float* pd = pv.data();
+  const float* td = target.data();
   double sum = 0.0;
   for (size_t i = 0; i < pv.size(); ++i) {
-    sum += std::abs(static_cast<double>(pv.flat()[i]) - target.flat()[i]);
+    sum += std::abs(static_cast<double>(pd[i]) - td[i]);
   }
   Tensor aux = AcquireAuxSlot(target.rows(), target.cols(), /*zeroed=*/false);
   std::copy(target.data(), target.data() + target.size(), aux.data());
@@ -426,10 +437,9 @@ void Graph::BackwardNode(Node& n) {
     case Op::kInput:
       break;
     case Op::kParam: {
-      Tensor& dst = param_grad(n.param);
-      for (size_t i = 0; i < n.grad.size(); ++i) {
-        dst.flat()[i] += n.grad.flat()[i];
-      }
+      float* dst = param_grad(n.param).data();
+      const float* dy = n.grad.data();
+      for (size_t i = 0; i < n.grad.size(); ++i) dst[i] += dy[i];
       break;
     }
     case Op::kMatMul: {
@@ -470,43 +480,41 @@ void Graph::BackwardNode(Node& n) {
       break;
     }
     case Op::kAdd: {
-      const Tensor& dy = n.grad;
-      Tensor& da = node(n.a).grad;
-      Tensor& db = node(n.b).grad;
-      for (size_t i = 0; i < dy.size(); ++i) {
-        da.flat()[i] += dy.flat()[i];
-        db.flat()[i] += dy.flat()[i];
+      const float* dy = n.grad.data();
+      float* da = node(n.a).grad.data();
+      float* db = node(n.b).grad.data();
+      for (size_t i = 0; i < n.grad.size(); ++i) {
+        da[i] += dy[i];
+        db[i] += dy[i];
       }
       break;
     }
     case Op::kSub: {
-      const Tensor& dy = n.grad;
-      Tensor& da = node(n.a).grad;
-      Tensor& db = node(n.b).grad;
-      for (size_t i = 0; i < dy.size(); ++i) {
-        da.flat()[i] += dy.flat()[i];
-        db.flat()[i] -= dy.flat()[i];
+      const float* dy = n.grad.data();
+      float* da = node(n.a).grad.data();
+      float* db = node(n.b).grad.data();
+      for (size_t i = 0; i < n.grad.size(); ++i) {
+        da[i] += dy[i];
+        db[i] -= dy[i];
       }
       break;
     }
     case Op::kMul: {
-      const Tensor& dy = n.grad;
-      Tensor& da = node(n.a).grad;
-      Tensor& db = node(n.b).grad;
-      const Tensor& av = node(n.a).value;
-      const Tensor& bv = node(n.b).value;
-      for (size_t i = 0; i < dy.size(); ++i) {
-        da.flat()[i] += dy.flat()[i] * bv.flat()[i];
-        db.flat()[i] += dy.flat()[i] * av.flat()[i];
+      const float* dy = n.grad.data();
+      float* da = node(n.a).grad.data();
+      float* db = node(n.b).grad.data();
+      const float* av = value(n.a).data();
+      const float* bv = value(n.b).data();
+      for (size_t i = 0; i < n.grad.size(); ++i) {
+        da[i] += dy[i] * bv[i];
+        db[i] += dy[i] * av[i];
       }
       break;
     }
     case Op::kScale: {
-      const Tensor& dy = n.grad;
-      Tensor& da = node(n.a).grad;
-      for (size_t i = 0; i < dy.size(); ++i) {
-        da.flat()[i] += dy.flat()[i] * n.scalar;
-      }
+      const float* dy = n.grad.data();
+      float* da = node(n.a).grad.data();
+      for (size_t i = 0; i < n.grad.size(); ++i) da[i] += dy[i] * n.scalar;
       break;
     }
     case Op::kConcat: {
@@ -534,12 +542,11 @@ void Graph::BackwardNode(Node& n) {
       break;
     }
     case Op::kLeakyRelu: {
-      const Tensor& dy = n.grad;
-      const Tensor& xv = node(n.a).value;
-      Tensor& dx = node(n.a).grad;
-      for (size_t i = 0; i < dy.size(); ++i) {
-        dx.flat()[i] +=
-            dy.flat()[i] * (xv.flat()[i] >= 0.0f ? 1.0f : n.scalar);
+      const float* dy = n.grad.data();
+      const float* xv = value(n.a).data();
+      float* dx = node(n.a).grad.data();
+      for (size_t i = 0; i < n.grad.size(); ++i) {
+        dx[i] += dy[i] * (xv[i] >= 0.0f ? 1.0f : n.scalar);
       }
       break;
     }
@@ -560,12 +567,10 @@ void Graph::BackwardNode(Node& n) {
       break;
     }
     case Op::kDropout: {
-      const Tensor& dy = n.grad;
-      const Tensor& mask = n.aux;
-      Tensor& dx = node(n.a).grad;
-      for (size_t i = 0; i < dy.size(); ++i) {
-        dx.flat()[i] += dy.flat()[i] * mask.flat()[i];
-      }
+      const float* dy = n.grad.data();
+      const float* mask = n.aux.data();
+      float* dx = node(n.a).grad.data();
+      for (size_t i = 0; i < n.grad.size(); ++i) dx[i] += dy[i] * mask[i];
       break;
     }
     case Op::kEmbed: {
@@ -608,25 +613,42 @@ void Graph::BackwardNode(Node& n) {
     case Op::kMseLoss: {
       float dy = n.grad.at(0, 0);
       const Tensor& pv = node(n.a).value;
-      Tensor& dp = node(n.a).grad;
+      const float* pd = pv.data();
+      const float* td = n.aux.data();
+      float* dp = node(n.a).grad.data();
       float scale = 2.0f / static_cast<float>(n.denom);
       for (size_t i = 0; i < pv.size(); ++i) {
-        dp.flat()[i] += dy * scale * (pv.flat()[i] - n.aux.flat()[i]);
+        dp[i] += dy * scale * (pd[i] - td[i]);
       }
       break;
     }
     case Op::kMaeLoss: {
       float dy = n.grad.at(0, 0);
       const Tensor& pv = node(n.a).value;
-      Tensor& dp = node(n.a).grad;
+      const float* pd = pv.data();
+      const float* td = n.aux.data();
+      float* dp = node(n.a).grad.data();
       float scale = 1.0f / static_cast<float>(pv.size());
       for (size_t i = 0; i < pv.size(); ++i) {
-        float d = pv.flat()[i] - n.aux.flat()[i];
-        dp.flat()[i] +=
-            dy * scale * (d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f));
+        float d = pd[i] - td[i];
+        dp[i] += dy * scale * (d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f));
       }
       break;
     }
+  }
+}
+
+void Graph::ZeroGrad(Node& n) {
+  const Tensor& v = n.value;
+  const size_t count = v.size();
+  if (count > 0 && n.grad.size() == count) {
+    // Retained grad from the previous replay: rebind the shape and re-zero.
+    Tensor g(v.rows(), v.cols(), n.grad.ReleaseStorage());
+    std::fill(g.data(), g.data() + count, 0.0f);
+    n.grad = std::move(g);
+  } else {
+    arena_.Release(std::move(n.grad));
+    n.grad = arena_.Acquire(v.rows(), v.cols(), /*zeroed=*/true);
   }
 }
 
@@ -634,14 +656,15 @@ void Graph::Backward(NodeId loss) {
   Node& l = node(loss);
   DEEPSD_CHECK_MSG(l.value.rows() == 1 && l.value.cols() == 1,
                    "Backward expects a scalar loss");
+  for (int i = 0; i <= loss; ++i) ZeroGrad(node(i));
   l.grad.at(0, 0) = 1.0f;
   for (int i = loss; i >= 0; --i) BackwardNode(node(i));
 }
 
 void Graph::Clear() {
   // Tensors stay parked in their slots so the next replay of the same
-  // topology reuses them in place (AcquireValueSlot/AcquireAuxSlot and the
-  // grad path in AddNode). Only the dangling parameter bindings go.
+  // topology reuses them in place (AcquireValueSlot/AcquireAuxSlot, and
+  // ZeroGrad in Backward). Only the dangling parameter bindings go.
   for (size_t i = 0; i < live_; ++i) nodes_[i].param = nullptr;
   live_ = 0;
 }

@@ -34,12 +34,24 @@ using NodeId = int;
 /// allocations. Keep one graph alive per worker/shard and Clear() it
 /// between batches instead of constructing a fresh one.
 ///
+/// Building the tape touches no gradient storage: Backward sizes and
+/// zeroes the grads of the nodes it visits first, so an inference forward
+/// pays only for its values. A node value may be a read-only view (an
+/// aliasing Input or Param); ops read every value through data()/row(),
+/// and a view owns nothing the slot or the arena could recycle.
+///
 /// This is deliberately the smallest op set that expresses DeepSD: dense
 /// matmul + bias, the fused FC→LReL unit, concatenation, slicing,
 /// element-wise arithmetic, LReL, row softmax, dropout, embedding lookup,
 /// a grouped weighted sum (for E = Σ_w p(w)·H(w)) and MSE/MAE losses.
 class Graph {
  public:
+  /// Node slots reserved at construction, so building the tape does not
+  /// reallocate it. A DeepSD advanced-mode training forward plus its loss
+  /// builds 154 nodes at the default config (num_nodes(); checked in
+  /// core_model_test).
+  static constexpr size_t kReservedNodes = 192;
+
   explicit Graph(util::Rng* rng = nullptr) : rng_(rng) {
     nodes_.reserve(kReservedNodes);
   }
@@ -69,13 +81,19 @@ class Graph {
   void set_grad_buffer(GradBuffer* buffer) { grad_buffer_ = buffer; }
 
   /// Constant input (no gradient). The const overload copies into
-  /// arena-backed storage; the rvalue overload adopts the tensor's buffer
-  /// (it joins the arena when the graph is cleared).
+  /// slot- or arena-backed storage. The rvalue overload adopts the tensor:
+  /// an owning tensor's buffer joins the arena when its slot is reused,
+  /// and a Tensor::View is bound as is, so the node aliases the viewed
+  /// floats. Those must stay alive and unchanged until the graph is
+  /// cleared, or until Backward returns when it runs.
   NodeId Input(const Tensor& value);
   NodeId Input(Tensor&& value);
-  /// Leaf bound to a trainable parameter; the value is snapshotted at bind
-  /// time and backward accumulates into `p->grad` (even when frozen — the
-  /// optimizer decides what to apply).
+  /// Leaf bound to a trainable parameter; backward accumulates into
+  /// `p->grad` (even when frozen — the optimizer decides what to apply).
+  /// A mutable value is snapshotted at bind time: changing `p->value`
+  /// later does not change the built graph. A value that is already a
+  /// read-only view (a model-store mapping) cannot change, so the node
+  /// aliases it instead of copying.
   NodeId Param(Parameter* p);
 
   /// x:[B,M] · w:[M,N] → [B,N].
@@ -124,11 +142,14 @@ class Graph {
   const Tensor& value(NodeId id) const {
     return nodes_[static_cast<size_t>(id)].value;
   }
+  /// Gradient of a node at or before the loss of the last Backward; other
+  /// nodes' grads are unspecified.
   const Tensor& grad(NodeId id) const {
     return nodes_[static_cast<size_t>(id)].grad;
   }
 
-  /// Runs reverse-mode accumulation from `loss` (seeds d(loss)=1).
+  /// Zeroes the grads of nodes [0, loss], then runs reverse-mode
+  /// accumulation from `loss` (seeds d(loss)=1).
   void Backward(NodeId loss);
 
   /// Resets the tape for replay; parameters are untouched. Node slots keep
@@ -142,10 +163,6 @@ class Graph {
   const TensorArena& arena() const { return arena_; }
 
  private:
-  // A DeepSD advanced-mode forward/backward builds ~50 nodes; reserving
-  // once up front keeps nodes_ from reallocating mid-build.
-  static constexpr size_t kReservedNodes = 64;
-
   enum class Op {
     kInput,
     kParam,
@@ -183,9 +200,12 @@ class Graph {
   };
 
   /// Claims the next node slot (reusing a cleared one when available),
-  /// resets its per-op fields, installs `value` and a zeroed grad (the
-  /// slot's retained grad buffer when the size matches).
+  /// resets its per-op fields and installs `value`. The slot's grad is
+  /// left as it was until Backward.
   NodeId AddNode(Op op, Tensor value);
+  /// Sizes `n.grad` like its value and zeroes it, reusing the retained
+  /// grad buffer when the size matches.
+  void ZeroGrad(Node& n);
   /// Output buffer for the node about to be created at slot `live_`:
   /// the slot's retained value storage when the element count matches,
   /// an arena buffer otherwise.

@@ -72,6 +72,29 @@ TEST_F(ModelTest, AdvancedForwardShape) {
   EXPECT_EQ(g.value(pred).cols(), 1);
 }
 
+TEST_F(ModelTest, AdvancedTrainingGraphFitsNodeReserve) {
+  // The graph reserves its node slots once; the largest tape DeepSD
+  // builds (advanced, default config, training with dropout, plus the
+  // loss) must fit.
+  DeepSDConfig config;
+  config.num_areas = ds_.num_areas();
+  feature::FeatureConfig fc;
+  fc.window = config.window;
+  feature::FeatureAssembler assembler(&ds_, fc, 0, 8);
+  std::vector<feature::ModelInput> inputs;
+  for (size_t i = 0; i < std::min<size_t>(4, items_.size()); ++i) {
+    inputs.push_back(assembler.AssembleAdvanced(items_[i]));
+  }
+  nn::ParameterStore store;
+  util::Rng rng(4);
+  DeepSDModel model(config, DeepSDModel::Mode::kAdvanced, &store, &rng);
+  Batch batch = MakeBatch(VectorSource(inputs), 0, inputs.size());
+  nn::Graph g(&rng);
+  g.set_training(true);
+  g.MseLoss(model.Forward(&g, batch), batch.target);
+  EXPECT_LE(g.num_nodes(), nn::Graph::kReservedNodes);
+}
+
 struct VariantCase {
   const char* name;
   DeepSDModel::Mode mode;

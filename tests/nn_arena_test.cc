@@ -1,8 +1,12 @@
 // TensorArena and graph-replay reuse: after a warm-up pass, rebuilding the
 // same topology must be served entirely from recycled storage — stable
-// tensor data pointers and zero heap allocations per step.
+// tensor data pointers and zero heap allocations per step. A forward-only
+// replay touches no gradient storage at all, and the grads Backward zeroes
+// lazily match a fresh graph's after replays of other shapes.
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -44,6 +48,13 @@ namespace deepsd {
 namespace nn {
 namespace {
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// Allocation counts are not meaningful under sanitizers.
+constexpr bool kCountsAllocations = false;
+#else
+constexpr bool kCountsAllocations = true;
+#endif
+
 class AllocCounter {
  public:
   AllocCounter() {
@@ -75,6 +86,15 @@ TEST(TensorArenaTest, RecyclesBuffersByElementCount) {
   Tensor c = arena.Acquire(3, 4, /*zeroed=*/false);
   EXPECT_EQ(arena.hits(), 2u);
   EXPECT_EQ(c.data(), ptr);
+}
+
+TEST(TensorArenaTest, ReleaseIgnoresViews) {
+  // A view borrows storage the arena does not own; pooling it would hand
+  // read-only (or freed) memory to the next Acquire.
+  TensorArena arena;
+  const std::vector<float> src(6, 1.0f);
+  arena.Release(Tensor::View(src.data(), 2, 3));
+  EXPECT_EQ(arena.pooled_buffers(), 0u);
 }
 
 TEST(TensorArenaTest, ReleaseIgnoresEmptyAndClearDropsPool) {
@@ -111,6 +131,50 @@ class GraphReplayTest : public ::testing::Test {
     NodeId loss = g->MseLoss(pred, target_);
     g->Backward(loss);
     return g->value(loss).at(0, 0);
+  }
+
+  /// Eval forward over the first `rows` rows with the features bound as a
+  /// view, the way a served batch is; no loss, no Backward.
+  NodeId Forward(Graph* g, int rows) {
+    g->Clear();
+    g->set_training(false);
+    NodeId x = g->Input(Tensor::View(x_.data(), rows, x_.cols()));
+    return fc2_.Apply(g, fc1_.ApplyLRel(g, x, 0.001f));
+  }
+
+  /// Training step over the first `rows` rows (features and target bound
+  /// as views) with a fresh dropout stream; returns the loss node.
+  NodeId TrainRows(Graph* g, int rows) {
+    util::Rng dropout_rng(5);
+    g->Clear();
+    g->set_rng(&dropout_rng);
+    g->set_training(true);
+    NodeId x = g->Input(Tensor::View(x_.data(), rows, x_.cols()));
+    NodeId h = g->Dropout(fc1_.ApplyLRel(g, x, 0.001f), 0.5f);
+    NodeId loss = g->MseLoss(fc2_.Apply(g, h),
+                             Tensor::View(target_.data(), rows, 1));
+    store_.ZeroGrads();
+    g->Backward(loss);
+    g->set_rng(nullptr);
+    return loss;
+  }
+
+  /// The shape and bits of every node grad up to `loss`, then the bits of
+  /// every parameter grad.
+  std::vector<uint32_t> Grads(const Graph& g, NodeId loss) const {
+    std::vector<uint32_t> out;
+    auto append = [&out](const Tensor& t) {
+      for (size_t i = 0; i < t.size(); ++i) {
+        out.push_back(std::bit_cast<uint32_t>(t.data()[i]));
+      }
+    };
+    for (NodeId i = 0; i <= loss; ++i) {
+      out.push_back(static_cast<uint32_t>(g.grad(i).rows()));
+      out.push_back(static_cast<uint32_t>(g.grad(i).cols()));
+      append(g.grad(i));
+    }
+    for (const auto& p : store_.parameters()) append(p->grad);
+    return out;
   }
 
   /// Data pointers of every live node's value tensor.
@@ -163,6 +227,48 @@ TEST_F(GraphReplayTest, SteadyStateReplayAllocatesNothing) {
   float loss_sum = 0.0f;
   for (int step = 0; step < 10; ++step) loss_sum += Step(&g, &dropout_rng);
   EXPECT_EQ(counter.count(), 0u) << "loss_sum=" << loss_sum;
+}
+
+TEST_F(GraphReplayTest, ForwardOnlyReplayTouchesNoGradOrArena) {
+  // An inference forward never runs Backward, so it must not size or zero
+  // a single gradient, and after warm-up it neither draws on the arena nor
+  // allocates.
+  Graph g;
+  NodeId pred = Forward(&g, 5);
+  for (NodeId i = 0; i <= pred; ++i) {
+    EXPECT_EQ(g.grad(i).size(), 0u) << "node " << i;
+  }
+  for (int warmup = 0; warmup < 2; ++warmup) Forward(&g, 5);
+  const size_t hits = g.arena().hits();
+  const size_t misses = g.arena().misses();
+  float sum = 0.0f;
+  {
+    AllocCounter counter;
+    for (int step = 0; step < 10; ++step) {
+      sum += g.value(Forward(&g, 5)).at(0, 0);
+    }
+    if (kCountsAllocations) EXPECT_EQ(counter.count(), 0u) << "sum=" << sum;
+  }
+  EXPECT_EQ(g.arena().hits(), hits);
+  EXPECT_EQ(g.arena().misses(), misses);
+  for (NodeId i = 0; i <= pred; ++i) EXPECT_EQ(g.grad(i).size(), 0u);
+}
+
+TEST_F(GraphReplayTest, GradsAfterShapeChangingReplaysMatchFreshGraph) {
+  // Gradients are zeroed lazily, in Backward. A graph that has replayed
+  // other shapes, with and without Backward, must still produce exactly a
+  // fresh graph's gradients: no slot may keep a stale or missized grad.
+  Graph fresh;
+  const std::vector<uint32_t> want = Grads(fresh, TrainRows(&fresh, 4));
+
+  Graph reused;
+  TrainRows(&reused, 5);
+  Forward(&reused, 3);
+  TrainRows(&reused, 2);
+  Forward(&reused, 4);
+  EXPECT_EQ(Grads(reused, TrainRows(&reused, 4)), want);
+  TrainRows(&reused, 5);
+  EXPECT_EQ(Grads(reused, TrainRows(&reused, 4)), want);
 }
 
 TEST_F(GraphReplayTest, ReplayedValuesIndependentOfArenaState) {

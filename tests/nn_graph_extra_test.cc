@@ -1,11 +1,13 @@
 // Additional autograd coverage: exact forward values for every arithmetic
 // op, analytic softmax Jacobian on known inputs, multi-part concat
-// gradients, graph reuse via Clear(), and gradient flow through the exact
-// composite the extended block uses.
+// gradients, graph reuse via Clear(), Param and Input nodes that alias a
+// read-only view, and gradient flow through the exact composite the
+// extended block uses.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/nn/graph.h"
 
@@ -102,6 +104,63 @@ TEST(GraphExtraTest, ParamValueSnapshotTakenAtBind) {
   NodeId n = g.Param(w);
   w->value.at(0, 0) = 99.0f;
   EXPECT_FLOAT_EQ(g.value(n).at(0, 0), 1.0f);
+}
+
+TEST(GraphExtraTest, ParamOverReadOnlyViewAliasesIt) {
+  // A read-only value (a model-store mapping) cannot change, so Param binds
+  // it in place; a mutable value is still copied at bind time. Either way
+  // the node reads the same floats and backward reaches the parameter.
+  ParameterStore store;
+  util::Rng rng(6);
+  Parameter* w = store.Create("w", 2, 3, Init::kGlorotUniform, &rng);
+  const std::vector<float> mapped = w->value.flat();
+  Parameter* p = store.Create("p", 2, 3, Init::kZero, &rng);
+  p->InstallValue(Tensor::View(mapped.data(), 2, 3), 0.0f);
+
+  Graph g;
+  NodeId copied = g.Param(w);
+  NodeId aliased = g.Param(p);
+  EXPECT_NE(g.value(copied).data(), w->value.data());
+  EXPECT_FALSE(g.value(copied).is_view());
+  EXPECT_EQ(g.value(aliased).data(), mapped.data());
+  EXPECT_TRUE(g.value(aliased).is_view());
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(g.value(aliased).data()[i], g.value(copied).data()[i]);
+  }
+
+  Tensor target(2, 3);
+  NodeId loss = g.MseLoss(g.Sub(aliased, g.Scale(copied, 0.5f)), target);
+  store.ZeroGrads();
+  g.Backward(loss);
+  // loss = mean((p − w/2)²) with p == w: dL/dp = 2·(w/2)/6 = w/6.
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_FLOAT_EQ(p->grad.data()[i], mapped[static_cast<size_t>(i)] / 6);
+    EXPECT_FLOAT_EQ(w->grad.data()[i], -mapped[static_cast<size_t>(i)] / 12);
+  }
+}
+
+TEST(GraphExtraTest, InputOfViewAliasesItsSource) {
+  // The adopting Input binds a view as is; the copying Input does not.
+  const Tensor x = Tensor::Row({1.0f, -2.0f, 3.0f});
+  Graph g;
+  NodeId view = g.Input(Tensor::View(x.data(), 1, 3));
+  NodeId copy = g.Input(x);
+  EXPECT_EQ(g.value(view).data(), x.data());
+  EXPECT_NE(g.value(copy).data(), x.data());
+  NodeId sum = g.Add(view, copy);
+  EXPECT_FLOAT_EQ(g.value(sum).at(0, 2), 6.0f);
+
+  // A slot that held a view is refilled after its source is gone: neither
+  // the slot nor the arena may touch the stale view.
+  {
+    std::vector<float> gone = {4.0f, 5.0f};
+    g.Clear();
+    g.Input(Tensor::View(gone.data(), 1, 2));
+  }
+  g.Clear();
+  NodeId fresh = g.Input(Tensor::Row({7.0f, 8.0f}));
+  EXPECT_FALSE(g.value(fresh).is_view());
+  EXPECT_FLOAT_EQ(g.value(fresh).at(0, 1), 8.0f);
 }
 
 TEST(GraphExtraTest, DeviationCompositeGradients) {

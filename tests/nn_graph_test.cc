@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/nn/grad_check.h"
 
@@ -144,127 +148,179 @@ TEST(GraphForwardTest, EmbedGathersRows) {
 
 // ---------- gradient checks (property-style, per op) ----------
 
+// How a case binds its operands. By value, inputs and parameters are copied
+// into the graph. As views, every operand aliases its source the way a
+// served batch and a mapped model do: inputs and targets go in as
+// Tensor::View, and each parameter through a stand-in whose value is a
+// read-only view of it (so Param aliases instead of copying). Backward
+// folds the stand-ins' gradients back into the parameters.
+class Binder {
+ public:
+  explicit Binder(bool views) : views_(views) {}
+
+  NodeId Input(Graph* g, const Tensor& x) const {
+    return views_ ? g->Input(View(x)) : g->Input(x);
+  }
+  Tensor Target(const Tensor& t) const { return views_ ? View(t) : t; }
+  NodeId Param(Graph* g, Parameter* p) { return g->Param(Bind(p)); }
+  NodeId Embed(Graph* g, Parameter* table, const std::vector<int>& ids) {
+    return g->Embed(Bind(table), ids);
+  }
+
+  /// Runs backward from `loss` and returns the loss value.
+  double Backward(Graph* g, NodeId loss) {
+    g->Backward(loss);
+    for (auto& [source, stand_in] : stand_ins_) {
+      for (size_t i = 0; i < source->grad.size(); ++i) {
+        source->grad.data()[i] += stand_in->grad.data()[i];
+      }
+    }
+    return g->value(loss).at(0, 0);
+  }
+
+ private:
+  static Tensor View(const Tensor& t) {
+    return Tensor::View(t.data(), t.rows(), t.cols());
+  }
+
+  Parameter* Bind(Parameter* p) {
+    if (!views_) return p;
+    for (auto& [source, stand_in] : stand_ins_) {
+      if (source == p) return stand_in.get();
+    }
+    auto stand_in = std::make_unique<Parameter>();
+    stand_in->name = p->name;
+    stand_in->value = View(p->value);
+    stand_in->grad = Tensor(p->value.rows(), p->value.cols());
+    stand_ins_.emplace_back(p, std::move(stand_in));
+    return stand_ins_.back().second.get();
+  }
+
+  bool views_;
+  std::vector<std::pair<Parameter*, std::unique_ptr<Parameter>>> stand_ins_;
+};
+
 // Each case builds a scalar loss from a single parameter through one op and
 // verifies analytic vs numeric gradients.
-using LossBuilder = double (*)(ParameterStore*, util::Rng*);
+using LossBuilder = double (*)(ParameterStore*, util::Rng*, Binder*);
 
 struct OpCase {
   const char* name;
   LossBuilder build;
+  bool views = false;  // bind every operand as a view (see Binder)
 };
 
 // Without this gtest prints a case as its raw bytes, pointers included, and
 // the test names it lists would change with every build and run.
 void PrintTo(const OpCase& op, std::ostream* os) { *os << op.name; }
 
-double MatMulLoss(ParameterStore* store, util::Rng* rng) {
+double MatMulLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* w = store->Find("w");
   if (!w) w = store->Create("w", 4, 3, Init::kGlorotUniform, rng);
   Graph g;
   util::Rng data_rng(11);
   Tensor x = RandomTensor(5, 4, &data_rng);
   Tensor target(5, 3);
-  NodeId loss = g.MseLoss(g.MatMul(g.Input(x), g.Param(w)), target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss = g.MseLoss(g.MatMul(bind->Input(&g, x), bind->Param(&g, w)),
+                          bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double BiasLoss(ParameterStore* store, util::Rng* rng) {
+double BiasLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* b = store->Find("b");
   if (!b) b = store->Create("b", 1, 4, Init::kGlorotUniform, rng);
   Graph g;
   util::Rng data_rng(13);
   Tensor x = RandomTensor(3, 4, &data_rng);
   Tensor target(3, 4);
-  NodeId loss = g.MseLoss(g.AddBias(g.Input(x), g.Param(b)), target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss = g.MseLoss(g.AddBias(bind->Input(&g, x), bind->Param(&g, b)),
+                          bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double LeakyReluLoss(ParameterStore* store, util::Rng* rng) {
+double LeakyReluLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* w = store->Find("w");
   if (!w) w = store->Create("w", 1, 6, Init::kGlorotUniform, rng);
   Graph g;
   Tensor target(1, 6);
   target.Fill(0.3f);
-  NodeId loss = g.MseLoss(g.LeakyRelu(g.Param(w), 0.001f), target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss = g.MseLoss(g.LeakyRelu(bind->Param(&g, w), 0.001f),
+                          bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double SoftmaxLoss(ParameterStore* store, util::Rng* rng) {
+double SoftmaxLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* w = store->Find("w");
   if (!w) w = store->Create("w", 2, 5, Init::kGlorotUniform, rng);
   Graph g;
   Tensor target(2, 5);
   target.Fill(0.2f);
-  NodeId loss = g.MseLoss(g.Softmax(g.Param(w)), target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss =
+      g.MseLoss(g.Softmax(bind->Param(&g, w)), bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double ConcatSliceLoss(ParameterStore* store, util::Rng* rng) {
+double ConcatSliceLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* a = store->Find("a");
   Parameter* b = store->Find("b");
   if (!a) a = store->Create("a", 2, 3, Init::kGlorotUniform, rng);
   if (!b) b = store->Create("b", 2, 2, Init::kGlorotUniform, rng);
   Graph g;
   Tensor target(2, 4);
-  NodeId cat = g.Concat({g.Param(a), g.Param(b)});
+  NodeId cat = g.Concat({bind->Param(&g, a), bind->Param(&g, b)});
   NodeId sliced = g.SliceCols(cat, 1, 5);
-  NodeId loss = g.MseLoss(sliced, target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss = g.MseLoss(sliced, bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double ArithmeticLoss(ParameterStore* store, util::Rng* rng) {
+double ArithmeticLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* a = store->Find("a");
   Parameter* b = store->Find("b");
   if (!a) a = store->Create("a", 2, 3, Init::kGlorotUniform, rng);
   if (!b) b = store->Create("b", 2, 3, Init::kGlorotUniform, rng);
   Graph g;
   Tensor target(2, 3);
-  NodeId expr = g.Scale(
-      g.Mul(g.Add(g.Param(a), g.Param(b)), g.Sub(g.Param(a), g.Param(b))),
-      0.7f);
-  NodeId loss = g.MseLoss(expr, target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId expr = g.Scale(g.Mul(g.Add(bind->Param(&g, a), bind->Param(&g, b)),
+                              g.Sub(bind->Param(&g, a), bind->Param(&g, b))),
+                        0.7f);
+  NodeId loss = g.MseLoss(expr, bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double EmbedLoss(ParameterStore* store, util::Rng* rng) {
+double EmbedLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* table = store->Find("t");
   if (!table) table = store->Create("t", 6, 4, Init::kEmbedding, rng);
   Graph g;
   Tensor target(3, 4);
   target.Fill(0.1f);
-  NodeId e = g.Embed(table, {2, 5, 2});  // repeated id → grad accumulation
-  NodeId loss = g.MseLoss(e, target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  // Repeated id → grad accumulation.
+  NodeId e = bind->Embed(&g, table, {2, 5, 2});
+  NodeId loss = g.MseLoss(e, bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double GroupWeightedSumLoss(ParameterStore* store, util::Rng* rng) {
+double GroupWeightedSumLoss(ParameterStore* store, util::Rng* rng,
+                            Binder* bind) {
   Parameter* p = store->Find("p");
   Parameter* h = store->Find("h");
   if (!p) p = store->Create("p", 3, 4, Init::kGlorotUniform, rng);
   if (!h) h = store->Create("h", 3, 8, Init::kGlorotUniform, rng);
   Graph g;
   Tensor target(3, 2);
-  NodeId loss = g.MseLoss(g.GroupWeightedSum(g.Param(p), g.Param(h), 4), target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss = g.MseLoss(
+      g.GroupWeightedSum(bind->Param(&g, p), bind->Param(&g, h), 4),
+      bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
-double MaeHead(ParameterStore* store, util::Rng* rng) {
+double MaeHead(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Parameter* w = store->Find("w");
   if (!w) w = store->Create("w", 1, 5, Init::kGlorotUniform, rng);
   Graph g;
   Tensor target(1, 5);
   target.Fill(10.0f);  // keep pred − target far from the kink at 0
-  NodeId loss = g.MaeLoss(g.Param(w), target);
-  g.Backward(loss);
-  return g.value(loss).at(0, 0);
+  NodeId loss = g.MaeLoss(bind->Param(&g, w), bind->Target(target));
+  return bind->Backward(&g, loss);
 }
 
 class OpGradientTest : public ::testing::TestWithParam<OpCase> {};
@@ -273,7 +329,10 @@ TEST_P(OpGradientTest, AnalyticMatchesNumeric) {
   ParameterStore store;
   util::Rng rng(2025);
   const OpCase& op = GetParam();
-  auto loss_fn = [&]() { return op.build(&store, &rng); };
+  auto loss_fn = [&]() {
+    Binder bind(op.views);
+    return op.build(&store, &rng, &bind);
+  };
   loss_fn();  // create parameters
   GradCheckResult result = CheckGradients(&store, loss_fn, 1e-2, 12);
   EXPECT_GT(result.checked, 0u);
@@ -282,20 +341,28 @@ TEST_P(OpGradientTest, AnalyticMatchesNumeric) {
       << " abs err: " << result.max_abs_error;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOps, OpGradientTest,
-    ::testing::Values(OpCase{"matmul", &MatMulLoss},
-                      OpCase{"bias", &BiasLoss},
-                      OpCase{"leaky_relu", &LeakyReluLoss},
-                      OpCase{"softmax", &SoftmaxLoss},
-                      OpCase{"concat_slice", &ConcatSliceLoss},
-                      OpCase{"arithmetic", &ArithmeticLoss},
-                      OpCase{"embed", &EmbedLoss},
-                      OpCase{"group_weighted_sum", &GroupWeightedSumLoss},
-                      OpCase{"mae", &MaeHead}),
-    [](const ::testing::TestParamInfo<OpCase>& info) {
-      return info.param.name;
-    });
+std::vector<OpCase> OpCases(bool views) {
+  return {OpCase{"matmul", &MatMulLoss, views},
+          OpCase{"bias", &BiasLoss, views},
+          OpCase{"leaky_relu", &LeakyReluLoss, views},
+          OpCase{"softmax", &SoftmaxLoss, views},
+          OpCase{"concat_slice", &ConcatSliceLoss, views},
+          OpCase{"arithmetic", &ArithmeticLoss, views},
+          OpCase{"embed", &EmbedLoss, views},
+          OpCase{"group_weighted_sum", &GroupWeightedSumLoss, views},
+          OpCase{"mae", &MaeHead, views}};
+}
+
+std::string OpCaseName(const ::testing::TestParamInfo<OpCase>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOps, OpGradientTest,
+                         ::testing::ValuesIn(OpCases(/*views=*/false)),
+                         OpCaseName);
+INSTANTIATE_TEST_SUITE_P(AllOpsAsViews, OpGradientTest,
+                         ::testing::ValuesIn(OpCases(/*views=*/true)),
+                         OpCaseName);
 
 TEST(GraphBackwardTest, GradAccumulatesAcrossUses) {
   // y = w + w → dy/dw = 2.

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -331,32 +333,61 @@ TEST_F(ShardedPredictorTest, ExpiredShardAnswersBaselineWhileSiblingsFresh) {
   }
 }
 
+// Holds a predictor's worker inside OnPrediction until a deadline, armed
+// from another thread, has expired: the worker then cannot reach anything
+// queued behind the current request before that deadline has passed.
+class ExpiryGate : public PredictionObserver {
+ public:
+  void Arm(util::Deadline deadline) {
+    std::lock_guard<std::mutex> lock(mu_);
+    deadline_ = deadline;
+    armed_ = true;
+    armed_cv_.notify_all();
+  }
+
+  void OnPrediction(const std::vector<int>&, const PredictResult&,
+                    const std::vector<float>&, int64_t) override {
+    util::Deadline deadline;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      armed_cv_.wait(lock, [this] { return armed_; });
+      deadline = deadline_;
+    }
+    while (!deadline.expired()) std::this_thread::yield();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable armed_cv_;
+  bool armed_ = false;
+  util::Deadline deadline_;
+};
+
 TEST_F(ShardedPredictorTest, BudgetPressureDegradesOnlyTheSlowShard) {
-  // The mid-flight variant: the victim's worker is pinned down by a large
-  // direct request, so its PredictCity slice waits out its small (but
-  // not-yet-expired) budget in the queue. Whether it sheds at admission
-  // or is admitted and misses depends on scheduler timing — both are
-  // legitimate expiry outcomes — but either way the victim must degrade
-  // alone and be counted in its own shard's expiry counters.
+  // The mid-flight variant: the victim's worker is held on a gate by a
+  // direct request until the victim slice's small budget has expired, so
+  // the slice either sheds at admission or is admitted and misses — both
+  // legitimate expiry outcomes. Either way the victim must degrade alone
+  // and be counted in its own shard's expiry counters.
   const int kShards = 4;
   ShardRingConfig probe_ring;
   probe_ring.num_shards = kShards;
   const int victim = ShardRing(probe_ring).ShardOf(areas_[0]);
 
+  ExpiryGate gate;
   ShardedPredictorConfig config;
-  config.shard_budget_fn = [victim](int shard, util::Deadline caller) {
+  config.shard_budget_fn = [victim, &gate](int shard, util::Deadline caller) {
     (void)caller;
-    return shard == victim ? util::Deadline::After(3000)
-                           : util::Deadline::Infinite();
+    if (shard != victim) return util::Deadline::Infinite();
+    const util::Deadline budget = util::Deadline::After(3000);
+    gate.Arm(budget);
+    return budget;
   };
   auto sharded = MakeSharded(kShards, config);
+  sharded->shard_predictor(victim).set_prediction_observer(&gate);
 
-  std::vector<int> blocker;
-  for (int i = 0; i < 2000; ++i) {
-    blocker.push_back(i % ds_.num_areas());
-  }
   auto blocker_future = sharded->shard_queue(victim).Submit(
-      blocker, util::Deadline::Infinite());
+      {areas_[0]}, util::Deadline::Infinite());
 
   CityPredictResult r =
       sharded->PredictCity(areas_, util::Deadline::Infinite());
@@ -372,14 +403,14 @@ TEST_F(ShardedPredictorTest, BudgetPressureDegradesOnlyTheSlowShard) {
       EXPECT_EQ(o.tier, FallbackTier::kNone) << "shard " << o.shard;
     }
   }
-  if (victim_degraded) {
-    EXPECT_EQ(r.tier, FallbackTier::kBaseline);
-    const ServingQueueStats q = sharded->shard_queue(victim).stats();
-    EXPECT_GE(q.shed_deadline + q.deadline_misses, 1u);
-  }
+  EXPECT_TRUE(victim_degraded);
+  EXPECT_EQ(r.tier, FallbackTier::kBaseline);
+  const ServingQueueStats q = sharded->shard_queue(victim).stats();
+  EXPECT_GE(q.shed_deadline + q.deadline_misses, 1u);
   // Every area answered regardless.
   ASSERT_EQ(r.gaps.size(), areas_.size());
   for (float g : r.gaps) EXPECT_TRUE(std::isfinite(g));
+  sharded->shard_predictor(victim).set_prediction_observer(nullptr);
 }
 
 TEST_F(ShardedPredictorTest, MergeSlackCarvesFiniteBudgetsOnly) {
