@@ -35,6 +35,7 @@
 #include "serving/online_predictor.h"
 #include "serving/sharded_predictor.h"
 #include "sim/city_sim.h"
+#include "store/versioned_model.h"
 #include "util/cli.h"
 #include "util/deadline.h"
 #include "util/string_util.h"
@@ -154,7 +155,9 @@ int Main(int argc, char** argv) {
   for (int a = 0; a < dataset.num_areas(); ++a) {
     all_areas[static_cast<size_t>(a)] = a;
   }
-  const std::vector<float> want = direct.PredictBatch(all_areas);
+  const std::vector<float> want = direct.PredictBatch(all_areas).gaps;
+  store::VersionedModel versions(
+      std::make_shared<store::BorrowedVersion>(&model));
 
   // Calibrate one citywide call for the hotspot budget.
   const int64_t calib_start = util::NowSteadyUs();
@@ -175,7 +178,7 @@ int Main(int argc, char** argv) {
     sc.queue.num_workers = 1;
     sc.queue.capacity = 64;
     sc.queue.watchdog_stuck_us = 0;
-    serving::ShardedPredictor sharded(&model, &assembler, sc);
+    serving::ShardedPredictor sharded(&versions, &assembler, sc);
     ReplayFeeds(dataset, serve_day, t_now, fc.window, sharded);
 
     SweepResult r;
@@ -272,7 +275,7 @@ int Main(int argc, char** argv) {
     sc.queue.num_workers = 1;
     sc.queue.capacity = 4;
     sc.queue.watchdog_stuck_us = 0;
-    serving::ShardedPredictor sharded(&model, &assembler, sc);
+    serving::ShardedPredictor sharded(&versions, &assembler, sc);
     ReplayFeeds(dataset, serve_day, t_now, fc.window, sharded);
 
     hot.shards = shards;

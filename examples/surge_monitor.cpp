@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "core/trainer.h"
@@ -46,6 +47,8 @@ int main() {
 
   // Live serving: stream the day's events through the predictor.
   serving::OnlinePredictor predictor(&model, &assembler);
+  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
+  std::iota(all_areas.begin(), all_areas.end(), 0);
   const float kThreshold = 8.0f;
   int true_positives = 0, false_positives = 0, false_negatives = 0;
   int alerts = 0;
@@ -74,7 +77,7 @@ int main() {
     int next = ts + 1;
     if (next < 420 || next > 1420 || next % 5 != 0) continue;
     predictor.AdvanceTo(live_day, next);
-    std::vector<float> pred = predictor.PredictAll();
+    std::vector<float> pred = predictor.PredictBatch(all_areas).gaps;
 
     for (int a = 0; a < dataset.num_areas(); ++a) {
       bool alert = pred[static_cast<size_t>(a)] >= kThreshold;

@@ -20,7 +20,8 @@ ShadowEvaluator::ShadowEvaluator(
     const eval::OnlineAccuracyConfig& acc_config,
     serving::FallbackConfig fallback)
     : candidate_(std::move(candidate)),
-      predictor_(&candidate_->model(), history, fallback),
+      versions_(candidate_),
+      predictor_(&versions_, history, fallback),
       serving_acc_(Unpublished(acc_config)),
       candidate_acc_(Unpublished(acc_config)) {
   predictor_.buffer().set_stream_observer(this);
@@ -34,8 +35,7 @@ void ShadowEvaluator::OnPrediction(const std::vector<int>& area_ids,
   // Re-answer the same areas from the candidate, over the candidate's own
   // copy of the live stream. Activity is omitted: PSI scoring belongs to
   // the live tracker, the shadow only compares accuracy.
-  serving::PredictResult shadow =
-      predictor_.PredictBatch(area_ids, util::Deadline());
+  serving::PredictResult shadow = predictor_.PredictBatch(area_ids);
   candidate_acc_.OnPrediction(area_ids, shadow, {}, now_abs);
 }
 

@@ -7,6 +7,7 @@
 #include "eval/online_accuracy.h"
 #include "serving/online_predictor.h"
 #include "store/stored_model.h"
+#include "store/versioned_model.h"
 
 namespace deepsd {
 namespace learn {
@@ -62,6 +63,10 @@ class ShadowEvaluator : public serving::PredictionObserver,
   void AdvanceTo(int day, int minute);
 
   ShadowComparison Compare() const;
+  /// The candidate side's tracker: its per-tier and per-area breakdowns.
+  const eval::OnlineAccuracyTracker& candidate_accuracy() const {
+    return candidate_acc_;
+  }
   std::string candidate_id() const { return candidate_->version_id(); }
   const std::shared_ptr<const store::StoredModel>& candidate() const {
     return candidate_;
@@ -76,6 +81,9 @@ class ShadowEvaluator : public serving::PredictionObserver,
   void OnClockAdvance(int64_t now_abs) override;
 
   std::shared_ptr<const store::StoredModel> candidate_;
+  /// Serves candidate_ itself, so the shadow's tier-3 answers come from
+  /// the baseline packaged with it, as serving's would.
+  store::VersionedModel versions_;
   serving::OnlinePredictor predictor_;  ///< Candidate, private buffer.
   eval::OnlineAccuracyTracker serving_acc_;
   eval::OnlineAccuracyTracker candidate_acc_;

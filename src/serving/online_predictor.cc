@@ -15,19 +15,6 @@
 namespace deepsd {
 namespace serving {
 
-OnlinePredictor::OnlinePredictor(const core::DeepSDModel* model,
-                                 const feature::FeatureAssembler* history,
-                                 FallbackConfig fallback)
-    : model_(model),
-      history_(history),
-      fallback_(fallback),
-      buffer_(history->dataset().num_areas(), history->config().window),
-      cache_(history->dataset().num_areas()) {
-  DEEPSD_CHECK(model != nullptr);
-  DEEPSD_CHECK_MSG(model->config().window == history->config().window,
-                   "model and assembler window mismatch");
-}
-
 OnlinePredictor::OnlinePredictor(store::VersionedModel* versions,
                                  const feature::FeatureAssembler* history,
                                  FallbackConfig fallback)
@@ -38,7 +25,7 @@ OnlinePredictor::OnlinePredictor(store::VersionedModel* versions,
       cache_(history->dataset().num_areas()) {
   DEEPSD_CHECK(versions != nullptr);
   DEEPSD_CHECK_MSG(versions->has_version(),
-                   "versioned predictor needs an initial published version");
+                   "OnlinePredictor needs a published model version");
   // Later publishes are config-gated by VersionedModel::Publish, so the
   // window agreed on here stays agreed for the predictor's lifetime.
   store::VersionedModel::Ref ref = versions->Acquire();
@@ -47,34 +34,38 @@ OnlinePredictor::OnlinePredictor(store::VersionedModel* versions,
       "model and assembler window mismatch");
 }
 
+OnlinePredictor::OnlinePredictor(const core::DeepSDModel* model,
+                                 const feature::FeatureAssembler* history,
+                                 FallbackConfig fallback)
+    : OnlinePredictor(std::make_unique<store::VersionedModel>(
+                          std::make_shared<store::BorrowedVersion>(model)),
+                      history, fallback) {}
+
+OnlinePredictor::OnlinePredictor(std::unique_ptr<store::VersionedModel> owned,
+                                 const feature::FeatureAssembler* history,
+                                 FallbackConfig fallback)
+    : OnlinePredictor(owned.get(), history, fallback) {
+  owned_versions_ = std::move(owned);
+}
+
 util::Status OnlinePredictor::SwapModel(
     std::shared_ptr<const store::ModelVersion> version) {
-  if (versions_ == nullptr) {
-    return util::Status::FailedPrecondition(
-        "predictor serves a static model; build it over a "
-        "store::VersionedModel to hot-swap");
-  }
   return versions_->Publish(std::move(version));
 }
 
 OnlinePredictor::Resolved OnlinePredictor::Resolve(
-    store::PinnedModel pinned) const {
-  if (pinned.version != nullptr) {
-    const baselines::GapBaseline* vb = pinned.version->baseline();
-    return {&pinned.version->model(), vb != nullptr ? vb : baseline_,
-            pinned.sequence};
+    store::PinnedModel pinned, store::VersionedModel::Ref* own) const {
+  if (pinned.version == nullptr) {
+    *own = versions_->Acquire();
+    pinned = own->pinned();
   }
-  DEEPSD_CHECK_MSG(model_ != nullptr,
-                   "versioned predictor resolved without a pin");
-  return {model_, baseline_, 0};
+  const baselines::GapBaseline* vb = pinned.version->baseline();
+  return {pinned, &pinned.version->model(), vb != nullptr ? vb : baseline_};
 }
 
 FallbackTier OnlinePredictor::CurrentTier() const {
-  if (versions_ != nullptr) {
-    store::VersionedModel::Ref ref = versions_->Acquire();
-    return TierFor(ref.version()->model());
-  }
-  return TierFor(*model_);
+  store::VersionedModel::Ref ref = versions_->Acquire();
+  return TierFor(ref.version()->model());
 }
 
 FallbackTier OnlinePredictor::TierFor(const core::DeepSDModel& model) const {
@@ -115,18 +106,11 @@ FallbackTier OnlinePredictor::TierFor(const core::DeepSDModel& model) const {
 }
 
 feature::ModelInput OnlinePredictor::AssembleLive(int area) const {
-  if (versions_ != nullptr) {
-    store::VersionedModel::Ref ref = versions_->Acquire();
-    const core::DeepSDModel& model = ref.version()->model();
-    return AssembleAtTier(area, TierFor(model), model);
-  }
-  return AssembleAtTier(area, TierFor(*model_), *model_);
-}
-
-feature::ModelInput OnlinePredictor::AssembleAtTier(
-    int area, FallbackTier tier, const core::DeepSDModel& model) const {
-  // Per-thread like AssembleAndPredict's, so a per-area caller allocates
-  // only the ModelInput it returns.
+  store::VersionedModel::Ref ref = versions_->Acquire();
+  const core::DeepSDModel& model = ref.version()->model();
+  const FallbackTier tier = TierFor(model);
+  // Per-thread like PredictBatch's, so a per-area caller allocates only
+  // the ModelInput it returns.
   thread_local OrderStreamBuffer::Snapshot snap;
   thread_local core::Batch row;
   TakeInputs(&area, 1, tier, model, &snap);
@@ -239,46 +223,10 @@ void OnlinePredictor::FillRows(const int* areas, const uint32_t* index,
   }
 }
 
-float OnlinePredictor::Predict(int area) const {
-  static obs::Histogram* latency_us =
-      obs::MetricsRegistry::Global().GetHistogram("serving/predict_us");
-  DEEPSD_SPAN("serving/predict", latency_us);
-  return AssembleAndPredict({area}, util::Deadline::Infinite(), {}).gaps[0];
-}
-
-std::vector<float> OnlinePredictor::PredictAll() const {
-  static obs::Histogram* latency_us =
-      obs::MetricsRegistry::Global().GetHistogram("serving/predict_all_us");
-  DEEPSD_SPAN("serving/predict_all", latency_us);
-  std::vector<int> area_ids(static_cast<size_t>(buffer_.num_areas()));
-  for (int a = 0; a < buffer_.num_areas(); ++a) {
-    area_ids[static_cast<size_t>(a)] = a;
-  }
-  return AssembleAndPredict(area_ids, util::Deadline::Infinite(), {}).gaps;
-}
-
-std::vector<float> OnlinePredictor::PredictBatch(
-    const std::vector<int>& area_ids) const {
-  return PredictBatch(area_ids, util::Deadline::Infinite()).gaps;
-}
-
-PredictResult OnlinePredictor::PredictBatch(const std::vector<int>& area_ids,
-                                            util::Deadline deadline) const {
-  return PredictBatch(area_ids, deadline, {});
-}
-
-PredictResult OnlinePredictor::PredictBatch(const std::vector<int>& area_ids,
-                                            util::Deadline deadline,
-                                            store::PinnedModel pinned) const {
-  static obs::Histogram* latency_us =
-      obs::MetricsRegistry::Global().GetHistogram("serving/predict_batch_us");
-  DEEPSD_SPAN("serving/predict_batch", latency_us);
-  return AssembleAndPredict(area_ids, deadline, pinned);
-}
-
-std::vector<float> OnlinePredictor::CheapGapsFrom(
-    const std::vector<int>& area_ids,
-    const baselines::GapBaseline* baseline) const {
+std::vector<float> OnlinePredictor::CheapGaps(
+    const std::vector<int>& area_ids, store::PinnedModel pinned) const {
+  store::VersionedModel::Ref own;
+  const baselines::GapBaseline* baseline = Resolve(pinned, &own).baseline;
   std::vector<float> gaps;
   gaps.reserve(area_ids.size());
   const int t = buffer_.minute();
@@ -288,24 +236,12 @@ std::vector<float> OnlinePredictor::CheapGapsFrom(
   return gaps;
 }
 
-std::vector<float> OnlinePredictor::CheapGaps(
-    const std::vector<int>& area_ids) const {
-  return CheapGaps(area_ids, {});
-}
-
-std::vector<float> OnlinePredictor::CheapGaps(
-    const std::vector<int>& area_ids, store::PinnedModel pinned) const {
-  store::VersionedModel::Ref own;
-  if (pinned.version == nullptr && versions_ != nullptr) {
-    own = versions_->Acquire();
-    pinned = own.pinned();
-  }
-  return CheapGapsFrom(area_ids, Resolve(pinned).baseline);
-}
-
-PredictResult OnlinePredictor::AssembleAndPredict(
-    const std::vector<int>& area_ids, util::Deadline deadline,
-    store::PinnedModel pinned) const {
+PredictResult OnlinePredictor::PredictBatch(const std::vector<int>& area_ids,
+                                            util::Deadline deadline,
+                                            store::PinnedModel pinned) const {
+  static obs::Histogram* latency_us =
+      obs::MetricsRegistry::Global().GetHistogram("serving/predict_batch_us");
+  DEEPSD_SPAN("serving/predict_batch", latency_us);
   static obs::Counter* degraded = obs::MetricsRegistry::Global().GetCounter(
       "serving/degraded_predictions");
   static obs::Counter* tier_zoh =
@@ -329,23 +265,19 @@ PredictResult OnlinePredictor::AssembleAndPredict(
           "serving/projection_miss_rows");
   if (area_ids.empty()) return {};
 
-  // Pin one model version for the whole call (no-op for a static
-  // predictor or when the caller — the scatter-gather coordinator —
-  // already pinned). Everything below resolves against `rm`, so a
-  // concurrent SwapModel can never mix versions within this result.
+  // Pin one model version for the whole call (unless the caller — the
+  // scatter-gather coordinator — already pinned). Everything below
+  // resolves against `rm`, so a concurrent SwapModel can never mix
+  // versions within this result.
   store::VersionedModel::Ref own;
-  if (pinned.version == nullptr && versions_ != nullptr) {
-    own = versions_->Acquire();
-    pinned = own.pinned();
-  }
-  const Resolved rm = Resolve(pinned);
+  const Resolved rm = Resolve(pinned, &own);
 
   PredictionObserver* observer = observer_.load(std::memory_order_acquire);
   const int64_t now_abs = buffer_.now_abs();
   std::vector<float> activity;
 
   PredictResult result;
-  result.model_sequence = rm.sequence;
+  result.model_sequence = rm.pinned.sequence;
   FallbackTier tier = TierFor(*rm.model);
   // Without a baseline attached the ladder's last rung is the empirical
   // block — still an answer, just a less specific one.
@@ -357,7 +289,7 @@ PredictResult OnlinePredictor::AssembleAndPredict(
   // is the cheapest one we have, reported as tier-3 so downstream breakers
   // see it for what it is. Shared by every cancellation checkpoint below.
   auto expire = [&]() -> PredictResult& {
-    result.gaps = CheapGapsFrom(area_ids, rm.baseline);
+    result.gaps = CheapGaps(area_ids, rm.pinned);
     result.tier = FallbackTier::kBaseline;
     result.deadline_expired = true;
     expired_calls->Inc();
@@ -536,7 +468,7 @@ PredictResult OnlinePredictor::AssembleAndPredict(
 void OnlinePredictor::CacheKey(const Resolved& rm, int day,
                                ProjectionCache::Key* key) {
   key->model = rm.model;
-  key->sequence = rm.sequence;
+  key->sequence = rm.pinned.sequence;
   key->kernel_mode = nn::kernels::kernel_mode();
   key->day = day;
   key->params.clear();

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -45,9 +46,9 @@ struct PredictResult {
   /// gaps come from the cheap path (baseline, or 0 without one), reported
   /// as tier kBaseline. The serving queue counts these as deadline misses.
   bool deadline_expired = false;
-  /// Publish sequence of the model version this call was served from; 0
-  /// when the predictor serves a static (unversioned) model. Every gap in
-  /// `gaps` — including degraded and expired answers — came from this one
+  /// Publish sequence of the model version this call was served from (0
+  /// only for an empty request, which serves nothing). Every gap in `gaps`
+  /// — including degraded and expired answers — came from this one
   /// version: a hot swap mid-call can never mix versions within a result.
   uint64_t model_sequence = 0;
 };
@@ -95,13 +96,15 @@ struct FallbackConfig {
 ///
 /// Real-time vectors come from an OrderStreamBuffer fed by the live event
 /// stream; the per-day-of-week historical ("empirical") vectors come from a
-/// FeatureAssembler built over the training period. Feed events, advance
-/// the clock, query gaps:
+/// FeatureAssembler built over the training period. Every prediction
+/// resolves against a store::VersionedModel, so the served model can be
+/// hot-swapped. Feed events, advance the clock, query gaps:
 ///
-///   OnlinePredictor predictor(&model, &assembler);
-///   predictor.buffer().AddOrder(order);              // as events arrive
-///   predictor.AdvanceTo(day, minute);                // move the clock
-///   std::vector<float> gaps = predictor.PredictAll();
+///   store::VersionedModel versions(artifact);          // any ModelVersion
+///   OnlinePredictor predictor(&versions, &assembler);   // or (&model, ...)
+///   predictor.buffer().AddOrder(order);                 // as events arrive
+///   predictor.AdvanceTo(day, minute);                   // move the clock
+///   PredictResult r = predictor.PredictBatch(areas);
 ///
 /// Predictions degrade gracefully instead of failing when feeds stall: see
 /// FallbackTier. CurrentTier() and the per-call PredictResult::tier expose
@@ -109,45 +112,42 @@ struct FallbackConfig {
 /// (with per-tier counters) tracks it in the metrics registry.
 class OnlinePredictor {
  public:
-  /// `model` and `history` must outlive the predictor and share the same
-  /// window / normalization configuration.
-  OnlinePredictor(const core::DeepSDModel* model,
+  /// Predictions resolve against `versions`' current published model —
+  /// pinned per call, so one call never mixes versions — and SwapModel()
+  /// publishes replacements with zero dropped or blocked requests
+  /// (store/versioned_model.h). `versions` must already hold a published
+  /// version (the swap path replaces models, it does not bootstrap an
+  /// empty predictor). `versions` and `history` must outlive the predictor
+  /// and share the same window / normalization configuration.
+  OnlinePredictor(store::VersionedModel* versions,
                   const feature::FeatureAssembler* history,
                   FallbackConfig fallback = {});
-
-  /// Versioned (hot-swappable) variant: predictions resolve against
-  /// `versions`' current published model — pinned per call, so one call
-  /// never mixes versions — and SwapModel() publishes replacements with
-  /// zero dropped or blocked requests (store/versioned_model.h).
-  /// `versions` must already hold a published version (the swap path
-  /// replaces models, it does not bootstrap an empty predictor) and must
-  /// outlive the predictor.
-  OnlinePredictor(store::VersionedModel* versions,
+  /// Serves an in-memory model: the predictor owns a VersionedModel whose
+  /// sequence 1 is a store::BorrowedVersion of `model` (no packaged
+  /// baseline). `model` must outlive the predictor.
+  OnlinePredictor(const core::DeepSDModel* model,
                   const feature::FeatureAssembler* history,
                   FallbackConfig fallback = {});
 
   OrderStreamBuffer& buffer() { return buffer_; }
   const OrderStreamBuffer& buffer() const { return buffer_; }
 
-  /// Publishes a new model version for a versioned predictor: requests
-  /// already in flight finish on the version they pinned, every later
-  /// request sees the new one. Typed failures: FailedPrecondition when the
-  /// predictor was built over a static model, InvalidArgument when the
-  /// version is serving-incompatible with the current one.
+  /// Publishes a new model version: requests already in flight finish on
+  /// the version they pinned, every later request sees the new one.
+  /// InvalidArgument when the version is serving-incompatible with the
+  /// current one.
   util::Status SwapModel(std::shared_ptr<const store::ModelVersion> version);
 
-  /// True when this predictor serves hot-swappable versions.
-  bool versioned() const { return versions_ != nullptr; }
-  /// The publish sequence the next request would pin (0 when static).
+  /// The publish sequence the next request would pin.
   uint64_t current_model_sequence() const {
-    return versions_ != nullptr ? versions_->stats().current_sequence : 0;
+    return versions_->stats().current_sequence;
   }
 
   /// Attaches the last-resort baseline (tier 3). Optional — without it the
   /// ladder stops at the empirical block. `baseline` must outlive the
-  /// predictor and be Fit on the same training period as `history`. A
-  /// versioned predictor prefers the baseline packaged with the pinned
-  /// model version and uses this one only when the version ships none.
+  /// predictor and be Fit on the same training period as `history`. The
+  /// baseline packaged with the pinned model version wins; this one is
+  /// used only when the version ships none.
   void set_baseline(const baselines::GapBaseline* baseline) {
     baseline_ = baseline;
   }
@@ -167,34 +167,30 @@ class OnlinePredictor {
   /// Moves the serving clock (delegates to the buffer).
   void AdvanceTo(int day, int minute) { buffer_.AdvanceTo(day, minute); }
 
-  /// Predicted gap over [now, now+10) for one area.
-  float Predict(int area) const;
-  /// Predicted gaps for every area. Feature assembly and the forward pass
-  /// are distributed over the shared thread pool; results are
-  /// bit-identical for any --threads setting (docs/parallelism.md).
-  std::vector<float> PredictAll() const;
-  /// Predicted gaps for an arbitrary set of areas (e.g. the areas one
-  /// dispatch shard owns), in the order given. Parallel like PredictAll;
-  /// latency lands in the serving/predict_batch_us histogram.
-  std::vector<float> PredictBatch(const std::vector<int>& area_ids) const;
-  /// Deadline-aware variant with the per-call outcome: the deadline is
-  /// checked at cheap cancellation checkpoints — on entry, per feature-
-  /// assembly chunk, and per 16-row forward chunk — and once it expires
-  /// the remaining expensive stages are abandoned in favor of the baseline
-  /// (see PredictResult::deadline_expired). Answers that are served never
-  /// depend on the deadline. Counted in serving/predict_deadline_expired
-  /// when abandoned.
+  /// Predicted gaps over [now, now+10) for a set of areas (all of them,
+  /// or the areas one shard owns), in the order given, with the per-call
+  /// outcome. Tier decision, then a parallel row fill straight into one
+  /// batch and a forward pass over its rows (or the baseline at tier 3),
+  /// then the non-finite output guard. Assembly and the forward pass are
+  /// distributed over the shared thread pool; results are bit-identical
+  /// for any --threads setting (docs/parallelism.md). Latency lands in the
+  /// serving/predict_batch_us histogram.
+  ///
+  /// `deadline` is checked at cheap cancellation checkpoints — on entry,
+  /// per feature-assembly chunk, and per 16-row forward chunk — and once
+  /// it expires the remaining expensive stages are abandoned in favor of
+  /// the cheap path (see PredictResult::deadline_expired). Answers that
+  /// are served never depend on the deadline. Counted in
+  /// serving/predict_deadline_expired when abandoned.
+  ///
+  /// An empty `pinned` pins the current version for the call. A non-empty
+  /// one is the scatter-gather path: ShardedPredictor::PredictCity pins
+  /// ONE version and passes it to every shard's queue, so all slices of
+  /// one city call resolve against the same model even while SwapModel
+  /// publishes concurrently.
   PredictResult PredictBatch(const std::vector<int>& area_ids,
-                             util::Deadline deadline) const;
-  /// Variant serving from an externally pinned model version — the
-  /// scatter-gather path: ShardedPredictor::PredictCity pins ONE version
-  /// and passes it to every shard's queue, so all slices of one city call
-  /// resolve against the same model even while SwapModel publishes
-  /// concurrently. An empty pin (default PinnedModel) resolves exactly
-  /// like the two-argument overload.
-  PredictResult PredictBatch(const std::vector<int>& area_ids,
-                             util::Deadline deadline,
-                             store::PinnedModel pinned) const;
+                             util::Deadline deadline = {},
+                             store::PinnedModel pinned = {}) const;
 
   /// The assembled live features for one area at the current tier
   /// (exposed for tests: with fresh feeds it must agree with the offline
@@ -205,24 +201,26 @@ class OnlinePredictor {
   /// one. This is the bottom rung every degraded path lands on; the
   /// sharded scatter-gather also answers a *shed* shard's areas from it so
   /// one drowning shard degrades instead of failing the whole city call.
-  std::vector<float> CheapGaps(const std::vector<int>& area_ids) const;
-  /// Pinned-version variant (see PredictBatch): a shed shard slice must be
-  /// answered from the same version as its siblings.
+  /// Resolved against `pinned` like PredictBatch: a shed shard slice must
+  /// be answered from the same version as its siblings.
   std::vector<float> CheapGaps(const std::vector<int>& area_ids,
-                               store::PinnedModel pinned) const;
+                               store::PinnedModel pinned = {}) const;
 
  private:
-  /// The (model, baseline, sequence) one call serves from — a static
-  /// predictor's members, or the pinned version's payload.
+  OnlinePredictor(std::unique_ptr<store::VersionedModel> owned,
+                  const feature::FeatureAssembler* history,
+                  FallbackConfig fallback);
+
+  /// The pinned version one call serves from, and its payload.
   struct Resolved {
+    store::PinnedModel pinned;
     const core::DeepSDModel* model = nullptr;
     const baselines::GapBaseline* baseline = nullptr;
-    uint64_t sequence = 0;
   };
-  /// Resolves an external pin, or the members for an empty pin on a
-  /// static predictor. An empty pin on a *versioned* predictor is resolved
-  /// by the caller acquiring a Ref first (AssembleAndPredict does).
-  Resolved Resolve(store::PinnedModel pinned) const;
+  /// Resolves `pinned`, first pinning the current version into `own` when
+  /// it is empty. The baseline is the version's, else set_baseline's.
+  Resolved Resolve(store::PinnedModel pinned,
+                   store::VersionedModel::Ref* own) const;
   /// CurrentTier against a specific model (the tier depends on which
   /// input blocks the model consumes).
   FallbackTier TierFor(const core::DeepSDModel& model) const;
@@ -242,20 +240,6 @@ class OnlinePredictor {
                 size_t end, FallbackTier tier,
                 const OrderStreamBuffer::Snapshot& snap,
                 core::Batch* batch) const;
-  /// AssembleLive body at a given tier and model.
-  feature::ModelInput AssembleAtTier(int area, FallbackTier tier,
-                                     const core::DeepSDModel& model) const;
-  std::vector<float> CheapGapsFrom(const std::vector<int>& area_ids,
-                                   const baselines::GapBaseline* baseline) const;
-  /// Shared body of Predict/PredictAll/PredictBatch: tier decision, then
-  /// a parallel row fill straight into one batch + a forward pass over its
-  /// rows (or the baseline at tier 3), then the non-finite output guard.
-  /// Deadline checkpoints abandon to the cheap path (CheapGaps). Pins the
-  /// current version for the whole call when versioned and not already
-  /// pinned.
-  PredictResult AssembleAndPredict(const std::vector<int>& area_ids,
-                                   util::Deadline deadline,
-                                   store::PinnedModel pinned) const;
 
   /// The serving-day state of DeepSD's extended blocks
   /// (docs/performance.md, "Projection ring"). The weekday weights p come
@@ -319,8 +303,9 @@ class OnlinePredictor {
   static void CacheKey(const Resolved& rm, int day,
                        ProjectionCache::Key* key);
 
-  const core::DeepSDModel* model_ = nullptr;  ///< null when versioned
-  store::VersionedModel* versions_ = nullptr;  ///< null when static
+  /// Set only by the in-memory-model constructor.
+  std::unique_ptr<store::VersionedModel> owned_versions_;
+  store::VersionedModel* versions_;
   const feature::FeatureAssembler* history_;
   const baselines::GapBaseline* baseline_ = nullptr;
   FallbackConfig fallback_;

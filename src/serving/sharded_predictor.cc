@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -12,20 +11,6 @@
 namespace deepsd {
 namespace serving {
 
-ShardedPredictor::ShardedPredictor(const core::DeepSDModel* model,
-                                   const feature::FeatureAssembler* history,
-                                   ShardedPredictorConfig config)
-    : config_(std::move(config)),
-      ring_(config_.ring),
-      num_areas_(history->dataset().num_areas()) {
-  DEEPSD_CHECK_MSG(model != nullptr, "ShardedPredictor needs a model");
-  DEEPSD_CHECK_MSG(history != nullptr, "ShardedPredictor needs history");
-  BuildShards([&](int) {
-    return std::make_unique<OnlinePredictor>(model, history,
-                                             config_.fallback);
-  });
-}
-
 ShardedPredictor::ShardedPredictor(store::VersionedModel* versions,
                                    const feature::FeatureAssembler* history,
                                    ShardedPredictorConfig config)
@@ -34,22 +19,14 @@ ShardedPredictor::ShardedPredictor(store::VersionedModel* versions,
       num_areas_(history->dataset().num_areas()),
       versions_(versions) {
   DEEPSD_CHECK_MSG(versions_ != nullptr,
-                   "versioned ShardedPredictor needs a VersionedModel");
+                   "ShardedPredictor needs a VersionedModel");
   DEEPSD_CHECK_MSG(history != nullptr, "ShardedPredictor needs history");
-  BuildShards([&](int) {
-    return std::make_unique<OnlinePredictor>(versions_, history,
-                                             config_.fallback);
-  });
-}
-
-void ShardedPredictor::BuildShards(
-    const std::function<std::unique_ptr<OnlinePredictor>(int)>&
-        make_predictor) {
   const int n = ring_.num_shards();
   shards_.resize(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     Shard& shard = shards_[static_cast<size_t>(s)];
-    shard.predictor = make_predictor(s);
+    shard.predictor =
+        std::make_unique<OnlinePredictor>(versions_, history, config_.fallback);
     ServingQueueConfig qc = config_.queue;
     qc.metric_prefix = util::StrFormat("serving/shard%d", s);
     if (config_.per_shard_breakers) {
@@ -83,11 +60,6 @@ void ShardedPredictor::set_baseline(
 
 util::Status ShardedPredictor::SwapModel(
     std::shared_ptr<const store::ModelVersion> version) {
-  if (versions_ == nullptr) {
-    return util::Status::FailedPrecondition(
-        "sharded predictor serves a static model; build it over a "
-        "store::VersionedModel to enable hot swap");
-  }
   // One Publish flips the version for every shard at once — the replicas
   // all read the same VersionedModel, so there is no per-shard rollout
   // window in which different shards would serve different versions to
@@ -156,19 +128,15 @@ CityPredictResult ShardedPredictor::PredictCity(
   // — resolves against this exact version, so a SwapModel racing this
   // call can never produce a version-torn city answer, and the pinned
   // mapping cannot be reclaimed while any slice still reads it.
-  store::VersionedModel::Ref pin;
-  store::PinnedModel pinned;
-  if (versions_ != nullptr) {
-    pin = versions_->Acquire();
-    pinned = pin.pinned();
-    city.model_sequence = pinned.sequence;
-  }
+  const store::VersionedModel::Ref pin = versions_->Acquire();
+  const store::PinnedModel pinned = pin.pinned();
+  city.model_sequence = pinned.sequence;
 
   const int n = ring_.num_shards();
   // Scatter: partition the request by the ring, remembering where each
   // area sits in the caller's order so the gather can write answers back
   // in place. Order is preserved within a shard, which is what makes the
-  // 1-shard path literally the legacy PredictBatch call.
+  // 1-shard path literally a direct PredictBatch call.
   std::vector<std::vector<int>> parts(static_cast<size_t>(n));
   std::vector<std::vector<size_t>> positions(static_cast<size_t>(n));
   for (size_t i = 0; i < area_ids.size(); ++i) {
@@ -225,12 +193,6 @@ CityPredictResult ShardedPredictor::PredictCity(
     city.shards.push_back(outcome);
   }
   return city;
-}
-
-CityPredictResult ShardedPredictor::PredictCityAll() {
-  std::vector<int> all(static_cast<size_t>(num_areas_));
-  std::iota(all.begin(), all.end(), 0);
-  return PredictCity(all, util::Deadline::Infinite());
 }
 
 void ShardedPredictor::Drain() {

@@ -60,8 +60,7 @@ struct ShardOutcome {
   /// True when the shard's budget expired before or during its batch.
   bool deadline_expired = false;
   /// Publish sequence of the model version the shard's slice was served
-  /// from (0 when the predictor serves a static model). Under a versioned
-  /// predictor every shard of one call reports the SAME sequence — the
+  /// from. Every shard of one call reports the SAME sequence — the
   /// swap-under-load harness fails the build if it ever observes a mix.
   uint64_t model_sequence = 0;
   int64_t queue_wait_us = 0;
@@ -81,9 +80,10 @@ struct CityPredictResult {
   bool deadline_expired = false;
   /// False when any shard was shed at admission (its slice is CheapGaps).
   bool fully_served = true;
-  /// Publish sequence the whole call was pinned to (0 when static). All
-  /// entries in `shards` carry this same value — PredictCity pins ONE
-  /// version before the scatter and holds it across the gather.
+  /// Publish sequence the whole call was pinned to (0 only for an empty
+  /// request). All entries in `shards` carry this same value —
+  /// PredictCity pins ONE version before the scatter and holds it across
+  /// the gather.
   uint64_t model_sequence = 0;
   /// Per-shard outcomes for every shard this call touched, ascending by
   /// shard index. Idle shards (no areas routed to them) are absent.
@@ -157,17 +157,14 @@ struct ShardedStats {
 /// thread, concurrently.
 class ShardedPredictor {
  public:
-  /// `model` and `history` must outlive the predictor; they are shared
-  /// read-only by every shard replica.
-  ShardedPredictor(const core::DeepSDModel* model,
-                   const feature::FeatureAssembler* history,
-                   ShardedPredictorConfig config = {});
-  /// Versioned (hot-swappable) variant: every shard replica resolves
-  /// against the SAME VersionedModel — one read-only artifact mapping
-  /// shared by all N replicas instead of N parsed copies — and
-  /// PredictCity pins one version per call so a concurrent SwapModel can
-  /// never mix versions within a city answer. `versions` must already
-  /// hold a published version and must outlive the predictor.
+  /// Every shard replica resolves against the SAME VersionedModel — one
+  /// read-only artifact mapping shared by all N replicas instead of N
+  /// parsed copies — and PredictCity pins one version per call so a
+  /// concurrent SwapModel can never mix versions within a city answer.
+  /// `versions` must already hold a published version (an in-memory model
+  /// is published as a store::BorrowedVersion). `versions` and `history`
+  /// must outlive the predictor; they are shared read-only by every shard
+  /// replica.
   ShardedPredictor(store::VersionedModel* versions,
                    const feature::FeatureAssembler* history,
                    ShardedPredictorConfig config = {});
@@ -189,11 +186,10 @@ class ShardedPredictor {
   /// Attaches the last-resort baseline to every shard replica.
   void set_baseline(const baselines::GapBaseline* baseline);
 
-  /// Publishes a new model version for a versioned predictor (see
-  /// OnlinePredictor::SwapModel): in-flight city calls finish on the
-  /// version they pinned, later calls see the new one, and no request is
-  /// dropped or blocked by the swap. FailedPrecondition when built over a
-  /// static model; InvalidArgument on a serving-incompatible version.
+  /// Publishes a new model version (see OnlinePredictor::SwapModel):
+  /// in-flight city calls finish on the version they pinned, later calls
+  /// see the new one, and no request is dropped or blocked by the swap.
+  /// InvalidArgument on a serving-incompatible version.
   util::Status SwapModel(std::shared_ptr<const store::ModelVersion> version);
 
   /// The continuous-learning rollback path: re-publishes a previously
@@ -203,11 +199,9 @@ class ShardedPredictor {
   /// revert from a routine promotion.
   util::Status RollbackModel(std::shared_ptr<const store::ModelVersion> version);
 
-  /// True when this predictor serves hot-swappable versions.
-  bool versioned() const { return versions_ != nullptr; }
-  /// The publish sequence the next city call would pin (0 when static).
+  /// The publish sequence the next city call would pin.
   uint64_t current_model_sequence() const {
-    return versions_ != nullptr ? versions_->stats().current_sequence : 0;
+    return versions_->stats().current_sequence;
   }
 
   // ---- feed routing -------------------------------------------------
@@ -228,8 +222,6 @@ class ShardedPredictor {
   /// for degradation and equivalence semantics.
   CityPredictResult PredictCity(const std::vector<int>& area_ids,
                                 util::Deadline deadline = {});
-  /// Every area the city has, infinite deadline.
-  CityPredictResult PredictCityAll();
 
   /// Stops admission on every shard (subsequent PredictCity calls answer
   /// entirely from the cheap path, verdict kShedDraining) and blocks
@@ -249,16 +241,11 @@ class ShardedPredictor {
   };
 
   util::Deadline ShardBudget(int shard, util::Deadline caller) const;
-  /// Shared ctor body (shard construction); `make_predictor` builds one
-  /// replica (static or versioned).
-  void BuildShards(
-      const std::function<std::unique_ptr<OnlinePredictor>(int)>&
-          make_predictor);
 
   ShardedPredictorConfig config_;
   ShardRing ring_;
   int num_areas_;
-  store::VersionedModel* versions_ = nullptr;  ///< null when static
+  store::VersionedModel* versions_;
   std::vector<Shard> shards_;
 };
 

@@ -24,7 +24,17 @@ size_t PreferredSlot() {
 
 }  // namespace
 
+BorrowedVersion::BorrowedVersion(const core::DeepSDModel* model)
+    : model_(model) {
+  DEEPSD_CHECK(model != nullptr);
+}
+
 VersionedModel::VersionedModel() = default;
+
+VersionedModel::VersionedModel(std::shared_ptr<const ModelVersion> initial) {
+  const util::Status st = Publish(std::move(initial));
+  DEEPSD_CHECK_MSG(st.ok(), st.ToString().c_str());
+}
 
 VersionedModel::~VersionedModel() {
   DEEPSD_CHECK_MSG(

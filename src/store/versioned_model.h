@@ -17,10 +17,10 @@ namespace deepsd {
 namespace store {
 
 /// One publishable model version — everything a serving request resolves
-/// against. Implemented by StoredModel (an mmap'd artifact) and by
-/// lightweight in-memory wrappers in tests. Implementations are immutable
-/// once published; all methods must be thread-safe (they are called from
-/// every serving thread concurrently).
+/// against. Implemented by StoredModel (an mmap'd artifact), by
+/// BorrowedVersion (an in-memory model) and by test fakes. Implementations
+/// are immutable once published; all methods must be thread-safe (they are
+/// called from every serving thread concurrently).
 class ModelVersion {
  public:
   virtual ~ModelVersion() = default;
@@ -31,6 +31,20 @@ class ModelVersion {
   virtual const baselines::GapBaseline* baseline() const = 0;
   /// Human-readable version tag (artifact manifest version_id).
   virtual std::string version_id() const = 0;
+};
+
+/// A ModelVersion over an in-memory model it borrows, with no packaged
+/// baseline — how a model that never went through the store is served.
+/// `model` must outlive the version.
+class BorrowedVersion : public ModelVersion {
+ public:
+  explicit BorrowedVersion(const core::DeepSDModel* model);
+  const core::DeepSDModel& model() const override { return *model_; }
+  const baselines::GapBaseline* baseline() const override { return nullptr; }
+  std::string version_id() const override { return "in-memory"; }
+
+ private:
+  const core::DeepSDModel* model_;
 };
 
 /// A pinned (version, publish-sequence) pair, passed by value through the
@@ -75,6 +89,8 @@ class VersionedModel {
   static constexpr size_t kReaderSlots = 64;
 
   VersionedModel();
+  /// Publishes `initial` as sequence 1 (CHECKs it is non-null).
+  explicit VersionedModel(std::shared_ptr<const ModelVersion> initial);
   /// CHECKs that no reader is still pinned (destroying the publisher under
   /// live readers would unmap memory they may dereference).
   ~VersionedModel();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/baselines/empirical_average.h"
 #include "src/core/model.h"
 #include "src/feature/feature_assembler.h"
 #include "src/nn/parameter.h"
@@ -34,7 +35,8 @@ class ShadowEvalTest : public ::testing::Test {
   void TearDown() override { obs::SetEnabled(was_enabled_); }
 
   std::shared_ptr<const store::StoredModel> PackAndOpen(
-      const std::string& id) {
+      const std::string& id,
+      const baselines::EmpiricalAverage* ea = nullptr) {
     core::DeepSDConfig config;
     config.num_areas = 4;
     nn::ParameterStore params;
@@ -45,7 +47,7 @@ class ShadowEvalTest : public ::testing::Test {
     store::PackOptions options;
     options.version_id = id;
     util::Status st =
-        store::PackModelArtifact(model, params, nullptr, options, path);
+        store::PackModelArtifact(model, params, ea, options, path);
     EXPECT_TRUE(st.ok()) << st.ToString();
     std::shared_ptr<const store::StoredModel> opened;
     st = store::StoredModel::Open(path, &opened);
@@ -162,6 +164,41 @@ TEST_F(ShadowEvalTest, CandidateSeesOnlyTrafficFedAfterItStarted) {
   ShadowComparison cmp = shadow.Compare();
   EXPECT_EQ(cmp.serving.count, 4u);
   EXPECT_EQ(cmp.candidate.count, 4u);
+}
+
+TEST_F(ShadowEvalTest, StalledOrdersAnswerFromCandidatesPackagedBaseline) {
+  // Tier 3 comes from the baseline packaged with the candidate, as it does
+  // when serving publishes that version: the shadow attaches none itself.
+  baselines::EmpiricalAverage ea;
+  ea.Fit(data::MakeItems(dataset_, 0, 6, 20, 1430, 10));
+  std::shared_ptr<const store::StoredModel> candidate =
+      PackAndOpen("shadow-ea", &ea);
+  ASSERT_NE(candidate->baseline(), nullptr);
+  eval::OnlineAccuracyConfig acc;
+  acc.num_areas = 4;
+  const serving::FallbackConfig fallback;
+  ShadowEvaluator shadow(candidate, assembler_.get(), acc, fallback);
+
+  const int day = 6;
+  for (int minute = 380; minute < 400; ++minute) {
+    FeedMinute(&shadow, day, minute, 1);
+  }
+  // No order anywhere for longer than baseline_after_minutes.
+  const int t = 400 + fallback.baseline_after_minutes + 20;
+  shadow.AdvanceTo(day, t);
+  const float want = candidate->baseline()->Predict(0, t);
+  ASSERT_GT(want, 0.0f);  // 0 would equal the empty slot's true gap
+  shadow.OnPrediction({0}, ServingAnswer(1, 1.0f), {},
+                      day * data::kMinutesPerDay + t);
+  shadow.AdvanceTo(day, t + data::kGapWindow + 5);
+
+  // The slot saw no order, so its true gap is 0 and the one joined
+  // sample's absolute error is the shadow's answer itself.
+  const eval::TierAccuracy at_baseline =
+      shadow.candidate_accuracy().ForTier(serving::FallbackTier::kBaseline);
+  EXPECT_EQ(at_baseline.count, 1u);
+  EXPECT_EQ(shadow.Compare().candidate.count, 1u);
+  EXPECT_DOUBLE_EQ(at_baseline.mae, static_cast<double>(want));
 }
 
 }  // namespace

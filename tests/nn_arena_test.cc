@@ -39,6 +39,23 @@ void* CountedAlloc(size_t size) {
 
 void* operator new(size_t size) { return CountedAlloc(size); }
 void* operator new[](size_t size) { return CountedAlloc(size); }
+// The nothrow forms must allocate from the same heap the replaced deletes
+// free to: left to the runtime's own, a nothrow new (std::stable_sort's
+// temporary buffer) would be freed here with a mismatched allocator.
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }

@@ -214,11 +214,12 @@ TEST_F(ParallelDeterminismTest, ServingPredictAllAndBatchBitIdentical) {
   util::Rng rng(5);
   DeepSDModel model(Config(), DeepSDModel::Mode::kAdvanced, &store, &rng);
 
+  const std::vector<int> areas = deepsd::testing::AllAreas(ds_.num_areas());
   auto run = [&](int threads) {
     EXPECT_TRUE(util::ThreadPool::SetGlobalThreads(threads).ok());
     serving::OnlinePredictor predictor(&model, assembler_.get());
     Replay(&predictor.buffer(), /*day=*/10, /*t=*/520);
-    return predictor.PredictAll();
+    return predictor.PredictBatch(areas).gaps;
   };
   std::vector<float> serial = run(1);
   std::vector<float> parallel = run(4);
@@ -227,13 +228,13 @@ TEST_F(ParallelDeterminismTest, ServingPredictAllAndBatchBitIdentical) {
                         serial.size() * sizeof(float)),
             0);
 
-  // PredictBatch over a subset must agree element-wise with PredictAll.
+  // PredictBatch over a subset must agree element-wise with all areas.
   EXPECT_TRUE(util::ThreadPool::SetGlobalThreads(4).ok());
   serving::OnlinePredictor predictor(&model, assembler_.get());
   Replay(&predictor.buffer(), 10, 520);
-  std::vector<float> all = predictor.PredictAll();
+  std::vector<float> all = predictor.PredictBatch(areas).gaps;
   std::vector<int> subset = {3, 0, 2};
-  std::vector<float> batch = predictor.PredictBatch(subset);
+  std::vector<float> batch = predictor.PredictBatch(subset).gaps;
   ASSERT_EQ(batch.size(), subset.size());
   for (size_t i = 0; i < subset.size(); ++i) {
     EXPECT_EQ(batch[i], all[static_cast<size_t>(subset[i])]) << "slot " << i;

@@ -284,7 +284,7 @@ TEST_F(ProjectionCacheTest, AnotherServingDayStartsCold) {
 }
 
 TEST_F(ProjectionCacheTest, ParameterChangesInvalidateIt) {
-  // A static predictor keeps its model pointer and sequence, so only the
+  // An in-memory model keeps its pointer and sequence, so only the
   // parameter stamp can tell that p or the projections went stale: new
   // values (a fine-tune step) and, under int8 kernels, a new activation
   // calibration, which the calibrating graph writes without a version bump.
@@ -383,7 +383,7 @@ class RePredictingObserver : public serving::PredictionObserver {
     thread_local bool nested = false;
     if (nested) return;
     nested = true;
-    inner_gaps = predictor_->PredictBatch(inner_);
+    inner_gaps = predictor_->PredictBatch(inner_).gaps;
     nested = false;
   }
 

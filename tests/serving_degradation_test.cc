@@ -78,13 +78,12 @@ class ServingDegradationTest : public ::testing::Test {
     buffer->AdvanceTo(day, t);
   }
 
-  /// PredictAll with the per-call outcome: the tier assertions below read
+  /// Every area with the per-call outcome: the tier assertions below read
   /// PredictResult::tier (the predictor-wide last-tier alias was removed —
   /// it was stompable under concurrency).
   PredictResult PredictAllTiered(const OnlinePredictor& predictor) const {
-    std::vector<int> areas;
-    for (int a = 0; a < ds_.num_areas(); ++a) areas.push_back(a);
-    return predictor.PredictBatch(areas, util::Deadline::Infinite());
+    return predictor.PredictBatch(
+        deepsd::testing::AllAreas(ds_.num_areas()));
   }
 
   data::OrderDataset ds_;
@@ -182,7 +181,7 @@ TEST_F(ServingDegradationTest, DegradedPredictionsCounterTracksFallbacks) {
 
   OnlinePredictor predictor(model_.get(), assembler_.get());
   ReplayWithCutoffs(&predictor.buffer(), 11, 700, 26, 0, 0);
-  predictor.PredictAll();
+  PredictAllTiered(predictor);
   EXPECT_EQ(degraded->value(),
             before + static_cast<uint64_t>(ds_.num_areas()));
   obs::SetEnabled(false);
@@ -217,7 +216,7 @@ TEST_F(ServingDegradationTest, InjectedFaultsNeverProduceNonFinite) {
     buffer.AddWeather(w);
     predictor.AdvanceTo(day, ts + 1);
     if ((ts + 1) % 10 == 0) {
-      for (float p : predictor.PredictAll()) {
+      for (float p : PredictAllTiered(predictor).gaps) {
         EXPECT_TRUE(std::isfinite(p)) << "minute " << ts + 1;
       }
     }

@@ -81,7 +81,7 @@ class ServingQueueTest : public ::testing::Test {
 // ------------------------------------------------ predictor deadline path
 
 TEST_F(ServingQueueTest, InfiniteDeadlineMatchesLegacyBitwise) {
-  std::vector<float> legacy = predictor_->PredictBatch(areas_);
+  std::vector<float> legacy = predictor_->PredictBatch(areas_).gaps;
   PredictResult r =
       predictor_->PredictBatch(areas_, util::Deadline::Infinite());
   EXPECT_EQ(r.tier, FallbackTier::kNone);
@@ -97,7 +97,7 @@ TEST_F(ServingQueueTest, GenerousFiniteDeadlineMatchesLegacyBitwise) {
   // must still be bit-identical to the single-call path.
   std::vector<int> many;
   for (int i = 0; i < 130; ++i) many.push_back(i % ds_.num_areas());
-  std::vector<float> legacy = predictor_->PredictBatch(many);
+  std::vector<float> legacy = predictor_->PredictBatch(many).gaps;
   PredictResult r =
       predictor_->PredictBatch(many, util::Deadline::After(60'000'000));
   EXPECT_FALSE(r.deadline_expired);
@@ -163,7 +163,7 @@ TEST_F(ServingQueueTest, AdmitsAndServesMatchingDirectCall) {
   ServingQueueConfig qc;
   qc.num_workers = 1;
   ServingQueue queue(predictor_.get(), qc);
-  std::vector<float> direct = predictor_->PredictBatch(areas_);
+  std::vector<float> direct = predictor_->PredictBatch(areas_).gaps;
 
   auto f = queue.Submit(areas_);
   ServingResponse r = f.get();

@@ -44,6 +44,8 @@ class ShardedPredictorTest : public ::testing::Test {
     config.use_traffic = true;
     model_ = std::make_unique<core::DeepSDModel>(
         config, core::DeepSDModel::Mode::kBasic, store_.get(), rng_.get());
+    versions_ = std::make_unique<store::VersionedModel>(
+        std::make_shared<store::BorrowedVersion>(model_.get()));
     baseline_.Fit(data::MakeItems(ds_, 0, 10, 20, 1430, 10));
 
     direct_ = std::make_unique<OnlinePredictor>(model_.get(),
@@ -86,7 +88,7 @@ class ShardedPredictorTest : public ::testing::Test {
       int shards, ShardedPredictorConfig config = {}) {
     config.ring.num_shards = shards;
     auto sharded = std::make_unique<ShardedPredictor>(
-        model_.get(), assembler_.get(), std::move(config));
+        versions_.get(), assembler_.get(), std::move(config));
     sharded->set_baseline(&baseline_);
     ReplayFreshFeeds(*sharded, 11, 700);
     return sharded;
@@ -97,6 +99,7 @@ class ShardedPredictorTest : public ::testing::Test {
   std::unique_ptr<nn::ParameterStore> store_;
   std::unique_ptr<util::Rng> rng_;
   std::unique_ptr<core::DeepSDModel> model_;
+  std::unique_ptr<store::VersionedModel> versions_;
   baselines::EmpiricalAverage baseline_;
   std::unique_ptr<OnlinePredictor> direct_;
   std::vector<int> areas_;
@@ -107,7 +110,7 @@ class ShardedPredictorTest : public ::testing::Test {
 TEST_F(ShardedPredictorTest, AnyShardCountMatchesDirectPathBitwise) {
   // The contract the whole design rests on: with healthy feeds and an
   // infinite deadline, shard count is invisible in the bits.
-  const std::vector<float> want = direct_->PredictBatch(areas_);
+  const std::vector<float> want = direct_->PredictBatch(areas_).gaps;
   for (int shards : {1, 2, 4, 8}) {
     auto sharded = MakeSharded(shards);
     CityPredictResult r =
@@ -136,7 +139,7 @@ TEST_F(ShardedPredictorTest, EquivalenceHoldsForScrambledDuplicateRequests) {
   for (int i = 0; i < 40; ++i) {
     request.push_back((i * 7 + 3) % ds_.num_areas());
   }
-  const std::vector<float> want = direct_->PredictBatch(request);
+  const std::vector<float> want = direct_->PredictBatch(request).gaps;
   for (int shards : {2, 8}) {
     auto sharded = MakeSharded(shards);
     CityPredictResult r =
@@ -175,12 +178,12 @@ TEST_F(ShardedPredictorTest, EquivalenceHoldsWhileDegraded) {
 
 TEST_F(ShardedPredictorTest, PredictCityAllCoversEveryArea) {
   auto sharded = MakeSharded(4);
-  CityPredictResult r = sharded->PredictCityAll();
+  CityPredictResult r = sharded->PredictCity(areas_);
   ASSERT_EQ(r.gaps.size(), static_cast<size_t>(ds_.num_areas()));
   size_t routed = 0;
   for (const ShardOutcome& o : r.shards) routed += o.num_areas;
   EXPECT_EQ(routed, r.gaps.size());
-  const std::vector<float> want = direct_->PredictBatch(areas_);
+  const std::vector<float> want = direct_->PredictBatch(areas_).gaps;
   for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(r.gaps[i], want[i]);
 }
 
@@ -287,7 +290,7 @@ TEST_F(ShardedPredictorTest, ExpiredShardAnswersBaselineWhileSiblingsFresh) {
                            : util::Deadline::Infinite();
   };
   auto sharded = MakeSharded(kShards, config);
-  const std::vector<float> fresh = direct_->PredictBatch(areas_);
+  const std::vector<float> fresh = direct_->PredictBatch(areas_).gaps;
 
   CityPredictResult r =
       sharded->PredictCity(areas_, util::Deadline::Infinite());
@@ -423,7 +426,7 @@ TEST_F(ShardedPredictorTest, MergeSlackCarvesFiniteBudgetsOnly) {
       sharded->PredictCity(areas_, util::Deadline::Infinite());
   EXPECT_EQ(r.tier, FallbackTier::kNone);
   EXPECT_TRUE(r.fully_served);
-  const std::vector<float> want = direct_->PredictBatch(areas_);
+  const std::vector<float> want = direct_->PredictBatch(areas_).gaps;
   for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(r.gaps[i], want[i]);
 
   // A finite caller budget minus the absurd slack is already expired at

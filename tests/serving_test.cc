@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,23 @@ namespace serving {
 namespace {
 
 constexpr int kL = 20;
+
+/// An in-memory model version that ships a baseline with it.
+class BaselinedVersion : public store::ModelVersion {
+ public:
+  BaselinedVersion(const core::DeepSDModel* model,
+                   const baselines::GapBaseline* baseline)
+      : model_(model), baseline_(baseline) {}
+  const core::DeepSDModel& model() const override { return *model_; }
+  const baselines::GapBaseline* baseline() const override {
+    return baseline_;
+  }
+  std::string version_id() const override { return "baselined"; }
+
+ private:
+  const core::DeepSDModel* model_;
+  const baselines::GapBaseline* baseline_;
+};
 
 class ServingTest : public ::testing::Test {
  protected:
@@ -45,6 +64,10 @@ class ServingTest : public ::testing::Test {
       buffer->AddWeather(w);
     }
     buffer->AdvanceTo(day, t);
+  }
+
+  std::vector<int> AllAreas() const {
+    return deepsd::testing::AllAreas(ds_.num_areas());
   }
 
   data::OrderDataset ds_;
@@ -131,7 +154,7 @@ TEST_F(ServingTest, LivePredictionsMatchOfflineBasic) {
   const int day = 11, t = 700;
   Replay(&predictor.buffer(), day, t);
 
-  std::vector<float> live = predictor.PredictAll();
+  std::vector<float> live = predictor.PredictBatch(AllAreas()).gaps;
   std::vector<feature::ModelInput> offline_inputs;
   for (int a = 0; a < ds_.num_areas(); ++a) {
     data::PredictionItem item;
@@ -160,7 +183,7 @@ TEST_F(ServingTest, LivePredictionsMatchOfflineAdvanced) {
   const int day = 10, t = 1100;  // outside the reference period
   Replay(&predictor.buffer(), day, t);
 
-  std::vector<float> live = predictor.PredictAll();
+  std::vector<float> live = predictor.PredictBatch(AllAreas()).gaps;
   std::vector<feature::ModelInput> offline_inputs;
   for (int a = 0; a < ds_.num_areas(); ++a) {
     data::PredictionItem item;
@@ -267,7 +290,7 @@ TEST_F(ServingTest, LivePredictAllAtFiveToMidnight) {
   const int day = 10, t = 1435;
   Replay(&predictor.buffer(), day, t);
 
-  std::vector<float> live = predictor.PredictAll();
+  std::vector<float> live = predictor.PredictBatch(AllAreas()).gaps;
   std::vector<feature::ModelInput> offline_inputs;
   for (int a = 0; a < ds_.num_areas(); ++a) {
     data::PredictionItem item;
@@ -304,8 +327,8 @@ TEST_F(ServingTest, PredictSingleAreaMatchesBatch) {
                           &rng);
   OnlinePredictor predictor(&model, assembler_.get());
   Replay(&predictor.buffer(), 11, 800);
-  std::vector<float> all = predictor.PredictAll();
-  EXPECT_FLOAT_EQ(predictor.Predict(2), all[2]);
+  std::vector<float> all = predictor.PredictBatch(AllAreas()).gaps;
+  EXPECT_FLOAT_EQ(predictor.PredictBatch({2}).gaps[0], all[2]);
 }
 
 TEST_F(ServingTest, PredictBatchMatchesPredictAllSubset) {
@@ -317,14 +340,57 @@ TEST_F(ServingTest, PredictBatchMatchesPredictAllSubset) {
                           &rng);
   OnlinePredictor predictor(&model, assembler_.get());
   Replay(&predictor.buffer(), 11, 820);
-  std::vector<float> all = predictor.PredictAll();
+  std::vector<float> all = predictor.PredictBatch(AllAreas()).gaps;
   std::vector<int> areas = {2, 0, 3};
-  std::vector<float> batch = predictor.PredictBatch(areas);
+  std::vector<float> batch = predictor.PredictBatch(areas).gaps;
   ASSERT_EQ(batch.size(), areas.size());
   for (size_t i = 0; i < areas.size(); ++i) {
     EXPECT_EQ(batch[i], all[static_cast<size_t>(areas[i])]) << "slot " << i;
   }
-  EXPECT_TRUE(predictor.PredictBatch({}).empty());
+  EXPECT_TRUE(predictor.PredictBatch({}).gaps.empty());
+}
+
+TEST_F(ServingTest, InMemoryModelServesSequenceOneAndSwaps) {
+  // The in-memory constructor serves its model as published sequence 1,
+  // and SwapModel publishes over it like on any versioned predictor.
+  core::DeepSDConfig config;
+  config.num_areas = ds_.num_areas();
+  nn::ParameterStore store_a, store_b;
+  util::Rng rng_a(8), rng_b(9);
+  core::DeepSDModel a(config, core::DeepSDModel::Mode::kBasic, &store_a,
+                      &rng_a);
+  core::DeepSDModel b(config, core::DeepSDModel::Mode::kBasic, &store_b,
+                      &rng_b);
+  OnlinePredictor predictor(&a, assembler_.get());
+  OnlinePredictor on_b(&b, assembler_.get());
+  Replay(&predictor.buffer(), 11, 760);
+  Replay(&on_b.buffer(), 11, 760);
+  const std::vector<int> areas = AllAreas();
+
+  const PredictResult first = predictor.PredictBatch(areas);
+  EXPECT_EQ(first.model_sequence, 1u);
+  EXPECT_EQ(predictor.current_model_sequence(), 1u);
+
+  baselines::EmpiricalAverage baseline;
+  baseline.Fit(data::MakeItems(ds_, 0, 10, 20, 1430, 10));
+  ASSERT_TRUE(
+      predictor.SwapModel(std::make_shared<BaselinedVersion>(&b, &baseline))
+          .ok());
+  const PredictResult second = predictor.PredictBatch(areas);
+  EXPECT_EQ(second.model_sequence, 2u);
+  EXPECT_EQ(second.gaps, on_b.PredictBatch(areas).gaps);
+  EXPECT_NE(second.gaps, first.gaps);
+
+  // CheapGaps answers from the version it resolves to: the current one
+  // ships a baseline, sequence 1 (pinned explicitly) ships none and no
+  // baseline was attached, so it answers 0.
+  std::vector<float> want;
+  for (int area : areas) want.push_back(baseline.Predict(area, 760));
+  ASSERT_NE(want, std::vector<float>(areas.size(), 0.0f));
+  EXPECT_EQ(predictor.CheapGaps(areas), want);
+  const store::BorrowedVersion v1(&a);
+  EXPECT_EQ(predictor.CheapGaps(areas, {&v1, 1}),
+            std::vector<float>(areas.size(), 0.0f));
 }
 
 TEST_F(ServingTest, ConcurrentIngestAndSnapshotReaders) {
@@ -401,11 +467,13 @@ TEST_F(ServingTest, ConcurrentPredictCallers) {
   OnlinePredictor predictor(&model, assembler_.get());
   Replay(&predictor.buffer(), 11, 700);
 
-  std::vector<float> expected = predictor.PredictAll();
+  const std::vector<int> areas = AllAreas();
+  std::vector<float> expected = predictor.PredictBatch(areas).gaps;
   std::vector<std::vector<float>> got(4);
   std::vector<std::thread> callers;
   for (size_t c = 0; c < got.size(); ++c) {
-    callers.emplace_back([&, c] { got[c] = predictor.PredictAll(); });
+    callers.emplace_back(
+        [&, c] { got[c] = predictor.PredictBatch(areas).gaps; });
   }
   for (auto& th : callers) th.join();
   for (size_t c = 0; c < got.size(); ++c) {

@@ -1,6 +1,7 @@
 #ifndef DEEPSD_TESTS_TEST_UTIL_H_
 #define DEEPSD_TESTS_TEST_UTIL_H_
 
+#include <numeric>
 #include <vector>
 
 #include "data/dataset.h"
@@ -88,6 +89,13 @@ inline data::OrderDataset MakeSmallCity(int areas = 6, int days = 15,
   config.seed = seed;
   config.mean_scale = 0.8;
   return sim::SimulateCity(config, summary);
+}
+
+/// Area ids 0..num_areas-1: a request for every area of the city.
+inline std::vector<int> AllAreas(int num_areas) {
+  std::vector<int> areas(static_cast<size_t>(num_areas));
+  std::iota(areas.begin(), areas.end(), 0);
+  return areas;
 }
 
 }  // namespace testing

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -109,6 +110,8 @@ void RunInstrumentedPipeline(const data::OrderDataset& dataset,
   predictor.buffer().set_stream_observer(&tracker);
   serving::OrderStreamBuffer& buffer = predictor.buffer();
   const int t_begin = 420, t_end = 600;  // morning peak is plenty
+  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
+  std::iota(all_areas.begin(), all_areas.end(), 0);
   buffer.AdvanceTo(serve_day, t_begin - fc.window);
   for (int ts = t_begin - fc.window; ts < t_end; ++ts) {
     for (int a = 0; a < dataset.num_areas(); ++a) {
@@ -131,8 +134,8 @@ void RunInstrumentedPipeline(const data::OrderDataset& dataset,
     }
     predictor.AdvanceTo(serve_day, ts + 1);
     if ((ts + 1) % 10 == 0 && ts + 1 >= t_begin) {
-      predictor.PredictAll();
-      predictor.Predict(0);
+      predictor.PredictBatch(all_areas);
+      predictor.PredictBatch({0});
     }
   }
   // Let the last open prediction slots mature, then report.
@@ -454,8 +457,10 @@ bool RunShardedScenario(const data::OrderDataset& dataset, int shards) {
   for (int a = 0; a < dataset.num_areas(); ++a) {
     all_areas[static_cast<size_t>(a)] = a;
   }
-  const std::vector<float> want = direct.PredictBatch(all_areas);
+  const std::vector<float> want = direct.PredictBatch(all_areas).gaps;
 
+  store::VersionedModel versions(
+      std::make_shared<store::BorrowedVersion>(&model));
   bool ok = true;
   for (int n : {1, shards}) {
     if (n == 1 && shards == 1) continue;  // don't run 1-shard twice
@@ -464,7 +469,7 @@ bool RunShardedScenario(const data::OrderDataset& dataset, int shards) {
     sc.queue.num_workers = 1;
     sc.queue.capacity = 64;
     sc.queue.watchdog_stuck_us = 0;
-    serving::ShardedPredictor sharded(&model, &assembler, sc);
+    serving::ShardedPredictor sharded(&versions, &assembler, sc);
     replay(sharded);
 
     const std::vector<int> loads =
@@ -941,9 +946,10 @@ bool RunDriftScenario(const sim::CityConfig& base_config,
   serving::OnlinePredictor predictor(&versions, &assembler);
   predictor.set_prediction_observer(&learner);
 
-  // The frozen replica: the same pre-shift model, never fine-tuned, scored
-  // by its own (unpublished) tracker over the same slots.
-  serving::OnlinePredictor frozen(&boot->model(), &assembler);
+  // The frozen replica: the same pre-shift version, never fine-tuned,
+  // scored by its own (unpublished) tracker over the same slots.
+  store::VersionedModel frozen_versions(boot);
+  serving::OnlinePredictor frozen(&frozen_versions, &assembler);
   eval::OnlineAccuracyConfig frozen_ac = ac;
   frozen_ac.publish_metrics = false;
   eval::OnlineAccuracyTracker frozen_tracker(frozen_ac);
