@@ -6,16 +6,16 @@
 //      method ordering (Average, Seasonal EWMA, Basic, Advanced by RMSE)
 //      must be identical under both kernel modes.
 //   2. Serving artifacts: the compressed EmpiricalAverage encoding and the
-//      int8 parameter file must together be >= 2x smaller than their raw
-//      counterparts (raw DEA1 + DSP1), and each >= 2x on its own.
+//      int8 DSAR1 model artifact must together be >= 2x smaller than their
+//      raw counterparts (raw DEA1 + raw DSAR1), and each >= 2x on its own.
 //   3. Checkpoint: the v3 bit-packed/float-block checkpoint must be
 //      strictly smaller than its raw-tensor equivalent. The ratio is
 //      reported, not held to 2x: resume is bitwise (lossless), and trained
 //      fp32 mantissas are entropy-dense, so the checkpoint's headroom is
 //      structurally smaller than the lossy serving artifacts'.
 //   4. Round-trips: EA predictions after a Save/Load cycle and quant
-//      predictions served from a loaded int8 file must be bit-identical
-//      to the in-memory ones.
+//      predictions served from the opened int8 artifact must be
+//      bit-identical to the in-memory ones.
 //   5. Throughput: int8 GEMM GF/s at 128x128, gated only against
 //      catastrophic regression (>= 0.2x blocked) to stay CI-stable.
 //
@@ -29,6 +29,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@
 #include "core/trainer.h"
 #include "nn/kernels.h"
 #include "nn/parameter.h"
+#include "store/pack.h"
+#include "store/stored_model.h"
 #include "util/byte_io.h"
 #include "util/cli.h"
 
@@ -273,13 +276,17 @@ int Main(int argc, char** argv) {
                          BitIdentical(ea_loaded.Predict(exp.test_items()),
                                       ea_preds);
 
-  const std::string model_raw_path = "/tmp/bench_quant_model_raw.bin";
-  const std::string model_quant_path = "/tmp/bench_quant_model_quant.bin";
-  bool save_ok =
-      advanced.store->Save(model_raw_path,
-                           nn::ParameterStore::SaveFormat::kRaw).ok() &&
-      advanced.store->Save(model_quant_path,
-                           nn::ParameterStore::SaveFormat::kQuantized).ok();
+  const std::string model_raw_path = "/tmp/bench_quant_model_raw.dsar";
+  const std::string model_quant_path = "/tmp/bench_quant_model_quant.dsar";
+  auto pack = [&](const std::string& path, store::ParamEncoding encoding) {
+    store::PackOptions options;
+    options.encoding = encoding;
+    return store::PackModelArtifact(*advanced.model, *advanced.store,
+                                    nullptr, options, path)
+        .ok();
+  };
+  const bool save_ok = pack(model_raw_path, store::ParamEncoding::kRaw) &&
+                       pack(model_quant_path, store::ParamEncoding::kQuant);
   const size_t model_raw_bytes = FileSize(model_raw_path);
   const size_t model_quant_bytes = FileSize(model_quant_path);
   const double model_ratio =
@@ -292,22 +299,16 @@ int Main(int argc, char** argv) {
                 static_cast<double>(ea_comp.size() + model_quant_bytes)
           : 0.0;
 
-  // Serving from the int8 file must reproduce the in-memory quant
-  // predictions bitwise: the loader installs the stored codes directly.
+  // Serving from the int8 artifact must reproduce the in-memory quant
+  // predictions bitwise: opening it installs the stored codes directly.
   bool quant_file_serving_ok = false;
-  if (save_ok) {
-    util::Rng rng(7);
-    nn::ParameterStore loaded_store;
-    core::DeepSDModel loaded_model(exp.ModelConfig(),
-                                   core::DeepSDModel::Mode::kAdvanced,
-                                   &loaded_store, &rng);
-    int loaded = 0;
-    if (loaded_store.Load(model_quant_path, &loaded).ok() && loaded > 0) {
-      nn::kernels::ScopedKernelMode guard(KM::kQuant);
-      core::AssemblerSource source = exp.TestSource(true);
-      quant_file_serving_ok =
-          BitIdentical(loaded_model.Predict(source), adv_quant);
-    }
+  std::shared_ptr<const store::StoredModel> stored_quant;
+  if (save_ok &&
+      store::StoredModel::Open(model_quant_path, &stored_quant).ok()) {
+    nn::kernels::ScopedKernelMode guard(KM::kQuant);
+    core::AssemblerSource source = exp.TestSource(true);
+    quant_file_serving_ok =
+        BitIdentical(stored_quant->model().Predict(source), adv_quant);
   }
 
   // --- Checkpoint size --------------------------------------------------
@@ -339,8 +340,8 @@ int Main(int argc, char** argv) {
 
   std::printf("  EA: raw %zu B, compressed %zu B (%.2fx)\n", ea_raw.size(),
               ea_comp.size(), ea_ratio);
-  std::printf("  model: DSP1 %zu B, DSP2/quant %zu B (%.2fx); combined "
-              "%.2fx\n",
+  std::printf("  model: DSAR1 raw %zu B, DSAR1 quant %zu B (%.2fx); "
+              "combined %.2fx\n",
               model_raw_bytes, model_quant_bytes, model_ratio,
               combined_ratio);
   std::printf("  checkpoint: v3 %zu B vs raw-equivalent %zu B (%.2fx)\n",
@@ -409,12 +410,14 @@ int Main(int argc, char** argv) {
   if (!accuracy_ok) fail("quant MAE/RMSE drift exceeds tolerance");
   if (!ordering_ok) fail("Table II method ordering flipped under quant");
   if (!ea_size_ok) fail("EA compressed encoding is not >= 2x smaller");
-  if (!model_size_ok) fail("int8 model file is not >= 2x smaller than DSP1");
+  if (!model_size_ok) {
+    fail("int8 model artifact is not >= 2x smaller than the raw one");
+  }
   if (!combined_size_ok) fail("combined serving artifacts not >= 2x smaller");
   if (!ck_size_ok) fail("v3 checkpoint not smaller than raw equivalent");
   if (!ea_roundtrip_ok) fail("EA Save/Load round-trip not bit-identical");
   if (!quant_file_serving_ok) {
-    fail("serving from int8 file differs from in-memory quant");
+    fail("serving from int8 artifact differs from in-memory quant");
   }
   if (!throughput_ok) fail("int8 GEMM catastrophically slower than blocked");
   return all_ok ? 0 : 1;

@@ -4,6 +4,7 @@
 //   2. Build prediction items and a FeatureAssembler.
 //   3. Train Basic DeepSD.
 //   4. Predict supply-demand gaps for unseen days and report MAE/RMSE.
+//   5. Save the trained model as a DSAR1 artifact (docs/model_store.md).
 //
 // Runs in well under a minute on a laptop.
 
@@ -12,13 +13,14 @@
 #include "core/trainer.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
-#include "util/string_util.h"
 #include "sim/city_sim.h"
+#include "store/pack.h"
+#include "util/string_util.h"
 
 int main(int argc, char** argv) {
   using namespace deepsd;
 
-  // Where to save the trained parameters. Pass a path (e.g. a temp dir) to
+  // Where to save the trained model. Pass a path (e.g. a temp dir) to
   // keep the artifact out of your working tree; the default lands in the
   // current directory.
   const char* model_path = argc > 1 ? argv[1] : "quickstart_model.bin";
@@ -80,10 +82,12 @@ int main(int argc, char** argv) {
                 test_items[i].gap, predictions[i]);
   }
 
-  // Persist the trained model for later fine-tuning (see
-  // extend_with_traffic.cpp).
-  util::Status st = params.Save(model_path);
-  std::printf("\nsaved parameters to %s: %s\n", model_path,
+  // 5. Persist the trained model. The artifact carries the model config,
+  // so deepsd_predict serves it and `deepsd_train --finetune_from` warm-
+  // starts a larger model from it (see extend_with_traffic.cpp).
+  util::Status st = store::PackModelArtifact(model, params, nullptr,
+                                             store::PackOptions(), model_path);
+  std::printf("\nsaved model artifact to %s: %s\n", model_path,
               st.ToString().c_str());
   return st.ok() ? 0 : 1;
 }

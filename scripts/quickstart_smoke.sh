@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Quickstart example smoke: run the end-to-end example with an explicit
 # scratch path for the saved model — nothing may land in the repo root —
-# then verify the artifact it claims to save really exists and parses.
+# then verify the DSAR1 artifact it claims to save really exists and opens
+# as a servable model.
 #
 # Usage: scripts/quickstart_smoke.sh [build_dir]
 set -euo pipefail
@@ -13,5 +14,5 @@ trap 'rm -rf "$SCRATCH"' EXIT
 MODEL="$SCRATCH/quickstart_model.bin"
 "$BUILD_DIR/examples/quickstart" "$MODEL"
 test -s "$MODEL"
-"$BUILD_DIR/tools/deepsd_model_info" --params="$MODEL" > /dev/null
+"$BUILD_DIR/tools/deepsd_store" verify "$MODEL" > /dev/null
 echo "quickstart smoke OK: model regenerated at $MODEL"

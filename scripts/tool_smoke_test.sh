@@ -41,36 +41,37 @@ echo "== metrics report =="
 "$TOOLS/deepsd_metrics_report" --in=metrics.jsonl --filter=trainer/ \
     | grep -q "trainer/batch_us"
 
-echo "== inspect parameters =="
-"$TOOLS/deepsd_inspect" --params=full.bin | grep -q "traffic.fc1.w"
-
-echo "== model info (params + checkpoint) =="
-"$TOOLS/deepsd_model_info" --params=full.bin | grep -q "format DSP2/full"
-"$TOOLS/deepsd_model_info" --params=full.bin | grep -q "traffic.fc1.w"
-"$TOOLS/deepsd_model_info" --checkpoint=ck.bin | grep -q "int8 bytes"
+echo "== inspect the trained artifacts =="
+"$TOOLS/deepsd_store" verify base.bin | grep -q "OK"
+"$TOOLS/deepsd_store" inspect full.bin > full_inspect.txt
+grep -q "traffic.fc1.w" full_inspect.txt
+grep -q "block" full_inspect.txt  # --model_format defaults to compressed
+grep -q "calibrated" full_inspect.txt
+"$TOOLS/deepsd_store" pack --checkpoint=ck.bin --data=city.bin --mode=basic \
+    --out=ck.dsar --encoding=quant
+"$TOOLS/deepsd_store" inspect ck.dsar | grep -q "int8"
 
 echo "== quantized model format serves under DEEPSD_KERNEL=quant =="
 "$TOOLS/deepsd_train" --data=city.bin --model=quant.bin --mode=basic \
     --train_days=7 --epochs=1 --stride=30 --best_k=0 \
     --finetune_from=full.bin --verbose=false --model_format=quant
-"$TOOLS/deepsd_model_info" --params=quant.bin | grep -q "format DSP2/quant"
-"$TOOLS/deepsd_model_info" --params=quant.bin | grep -q "int8"
+"$TOOLS/deepsd_store" inspect quant.bin | grep -q "int8"
 DEEPSD_KERNEL=quant "$TOOLS/deepsd_predict" --data=city.bin --model=quant.bin \
-    --mode=basic --ref_days=7 --day=8 --csv=predq.csv --threads=2
+    --ref_days=7 --day=8 --csv=predq.csv --threads=2
 test -s predq.csv
 head -1 predq.csv | grep -q "predicted_gap"
 
 echo "== model store: pack / verify / inspect / diff =="
-"$TOOLS/deepsd_store" pack --params=full.bin --data=city.bin --mode=basic \
+"$TOOLS/deepsd_store" pack --params=full.bin --data=city.bin \
     --out=full.dsar --version_id=smoke-v1 --ea --ref_days=7
 "$TOOLS/deepsd_store" verify full.dsar | grep -q "OK"
 "$TOOLS/deepsd_store" inspect full.dsar | grep -q "params.bin"
 "$TOOLS/deepsd_store" inspect full.dsar | grep -q "smoke-v1"
-"$TOOLS/deepsd_store" pack --params=full.bin --data=city.bin --mode=basic \
-    --out=full_c.dsar --version_id=smoke-v1 --encoding=compressed
+"$TOOLS/deepsd_store" pack --params=full.bin --out=full_c.dsar \
+    --version_id=smoke-v1 --encoding=compressed
 "$TOOLS/deepsd_store" diff full.dsar full_c.dsar | grep -q "value-identical"
-"$TOOLS/deepsd_store" pack --params=base.bin --data=city.bin --mode=basic \
-    --no_traffic --out=base.dsar --version_id=smoke-v0
+"$TOOLS/deepsd_store" pack --params=base.bin --out=base.dsar \
+    --version_id=smoke-v0
 if "$TOOLS/deepsd_store" diff full.dsar base.dsar >/dev/null; then
   echo "expected diff to report differing artifacts" >&2
   exit 1
@@ -92,13 +93,18 @@ echo "== swap-under-load: 100 hot swaps, zero drops, zero torn reads =="
     | grep -q "swap scenario OK"
 
 echo "== predict =="
-"$TOOLS/deepsd_predict" --data=city.bin --model=full.bin --mode=basic \
+"$TOOLS/deepsd_predict" --data=city.bin --model=full.bin \
     --ref_days=7 --day=8 --csv=pred.csv --threads=2
 test -s pred.csv
 head -1 pred.csv | grep -q "predicted_gap"
-"$TOOLS/deepsd_predict" --data=city.bin --model=full.bin --mode=basic \
+"$TOOLS/deepsd_predict" --data=city.bin --model=full.bin \
     --ref_days=7 --day=8 --csv=pred1.csv --threads=1
 cmp pred.csv pred1.csv
+# The mapped artifact serves what the tool trained: predicting from the
+# raw repack matches the compressed original bit for bit.
+"$TOOLS/deepsd_predict" --data=city.bin --model=full.dsar \
+    --ref_days=7 --day=8 --csv=pred_raw.csv --threads=1
+cmp pred.csv pred_raw.csv
 
 echo "== unknown flag rejected =="
 if "$TOOLS/deepsd_simulate" --bogus_flag=1 --out=x.bin 2>/dev/null; then

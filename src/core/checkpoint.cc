@@ -19,18 +19,16 @@ namespace {
 // truncation detectable before parsing, and AtomicWriteFile guarantees the
 // file at the final path is always complete.
 //
-// Version history: v1 is the original trainer state; v2 appends the
-// input-reference histogram (core/drift.h) at the end of the payload;
-// v3 compresses the bulk payload — the sample order is bit-packed at the
-// width of its largest index and every tensor goes through the lossless
-// float-block codec (util::PutFloatBlock; best-k snapshots and optimizer
-// moments delta against the current params) — and appends the per-
-// parameter int8 calibration table. v1/v2 files still load (with an empty
-// reference/calibration) so pre-existing checkpoints survive upgrades.
-// All v3 encodings are bit-exact, so crash-resume stays bitwise.
+// Version 3 is the only one read or written: the sample order is
+// bit-packed at the width of its largest index, every tensor goes through
+// the lossless float-block codec (util::PutFloatBlock; best-k snapshots
+// and optimizer moments delta against the current params), and the
+// payload ends with the input-reference histogram (core/drift.h) and the
+// per-parameter int8 calibration table. Every encoding is bit-exact, so
+// crash-resume stays bitwise. Files of the retired v1/v2 layouts are
+// rejected by version, like files from the future.
 constexpr char kMagic[4] = {'D', 'S', 'C', '1'};
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
 
 // Every field is written explicitly (never whole structs) so struct padding
 // can't leak indeterminate bytes into the file and two checkpoints of the
@@ -124,8 +122,7 @@ void WriteTensors(util::ByteWriter* w,
   }
 }
 
-bool ReadTensors(util::ByteReader* r, uint32_t version,
-                 std::vector<nn::NamedTensor>* tensors,
+bool ReadTensors(util::ByteReader* r, std::vector<nn::NamedTensor>* tensors,
                  const std::vector<nn::NamedTensor>* refs = nullptr) {
   uint64_t n = 0;
   if (!r->GetPod(&n)) return false;
@@ -143,24 +140,14 @@ bool ReadTensors(util::ByteReader* r, uint32_t version,
     if (rows < 0 || cols < 0) return false;
     const uint64_t count = static_cast<uint64_t>(rows) *
                            static_cast<uint64_t>(cols);
-    if (version >= 3) {
-      // Packed blocks can be much smaller than their element count; this
-      // still bounds the allocation a corrupt length could request.
-      if (count / 64 > r->remaining()) return false;
-    } else {
-      if (count > r->remaining() / sizeof(float)) return false;
-    }
+    // Packed blocks can be much smaller than their element count; this
+    // still bounds the allocation a corrupt length could request.
+    if (count / 64 > r->remaining()) return false;
     nt.value = nn::Tensor(rows, cols);
     if (count > 0) {
-      if (version >= 3) {
-        const nn::Tensor* ref = FindRef(refs, nt.name, rows, cols);
-        if (!util::GetFloatBlock(r, nt.value.data(),
-                                 static_cast<size_t>(count),
-                                 ref != nullptr ? ref->data() : nullptr)) {
-          return false;
-        }
-      } else if (!r->GetRaw(nt.value.data(),
-                            static_cast<size_t>(count) * sizeof(float))) {
+      const nn::Tensor* ref = FindRef(refs, nt.name, rows, cols);
+      if (!util::GetFloatBlock(r, nt.value.data(), static_cast<size_t>(count),
+                               ref != nullptr ? ref->data() : nullptr)) {
         return false;
       }
     }
@@ -169,7 +156,7 @@ bool ReadTensors(util::ByteReader* r, uint32_t version,
   return true;
 }
 
-// v3 sample order: the permutation's values are < order.size(), so each
+// Sample order: the permutation's values are < order.size(), so each
 // index packs into BitWidth64(max) bits instead of a raw u64 — the order
 // vector is one entry per training sample and dominates small checkpoints.
 void WriteOrder(util::ByteWriter* w, const std::vector<uint64_t>& order) {
@@ -243,8 +230,7 @@ void WritePayload(util::ByteWriter* w, const TrainerCheckpoint& ck) {
   }
 }
 
-bool ReadPayload(util::ByteReader* r, uint32_t version,
-                 TrainerCheckpoint* ck) {
+bool ReadPayload(util::ByteReader* r, TrainerCheckpoint* ck) {
   int32_t epoch = 0;
   if (!ReadConfig(r, &ck->config) || !r->GetPod(&epoch) ||
       !r->GetPod(&ck->next_sample) || !r->GetPod(&ck->step)) {
@@ -254,12 +240,8 @@ bool ReadPayload(util::ByteReader* r, uint32_t version,
   for (uint64_t& word : ck->rng_state) {
     if (!r->GetPod(&word)) return false;
   }
-  if (version >= 3) {
-    if (!ReadOrder(r, &ck->order)) return false;
-  } else if (!r->GetPodVec(&ck->order)) {
-    return false;
-  }
-  if (!r->GetPod(&ck->partial_loss_sum) || !r->GetPod(&ck->partial_batches)) {
+  if (!ReadOrder(r, &ck->order) || !r->GetPod(&ck->partial_loss_sum) ||
+      !r->GetPod(&ck->partial_batches)) {
     return false;
   }
   uint64_t n_history = 0;
@@ -268,10 +250,10 @@ bool ReadPayload(util::ByteReader* r, uint32_t version,
   for (EpochStats& s : ck->history) {
     if (!ReadStats(r, &s)) return false;
   }
-  if (!ReadTensors(r, version, &ck->params) || !r->GetPod(&ck->adam_t) ||
-      !ReadTensors(r, version, &ck->adam_m, &ck->params) ||
-      !ReadTensors(r, version, &ck->adam_v, &ck->params) ||
-      !ReadTensors(r, version, &ck->sgd_velocity, &ck->params)) {
+  if (!ReadTensors(r, &ck->params) || !r->GetPod(&ck->adam_t) ||
+      !ReadTensors(r, &ck->adam_m, &ck->params) ||
+      !ReadTensors(r, &ck->adam_v, &ck->params) ||
+      !ReadTensors(r, &ck->sgd_velocity, &ck->params)) {
     return false;
   }
   uint64_t n_best = 0;
@@ -279,24 +261,19 @@ bool ReadPayload(util::ByteReader* r, uint32_t version,
   ck->best.resize(static_cast<size_t>(n_best));
   for (TrainerCheckpoint::BestEntry& e : ck->best) {
     if (!r->GetPod(&e.rmse) ||
-        !ReadTensors(r, version, &e.params, &ck->params)) {
+        !ReadTensors(r, &e.params, &ck->params)) {
       return false;
     }
   }
-  if (version >= 2) {
-    if (!ReadReference(r, &ck->input_reference)) return false;
-  } else {
-    ck->input_reference = ReferenceHistogram{};
+  uint64_t n_cal = 0;
+  if (!ReadReference(r, &ck->input_reference) || !r->GetPod(&n_cal) ||
+      n_cal > r->remaining() / 8) {
+    return false;
   }
-  ck->calibration.clear();
-  if (version >= 3) {
-    uint64_t n_cal = 0;
-    if (!r->GetPod(&n_cal) || n_cal > r->remaining() / 8) return false;
-    ck->calibration.resize(static_cast<size_t>(n_cal));
-    for (TrainerCheckpoint::Calibration& c : ck->calibration) {
-      if (!r->GetString(&c.name) || !r->GetPod(&c.act_absmax)) return false;
-      if (!std::isfinite(c.act_absmax) || c.act_absmax < 0.0f) return false;
-    }
+  ck->calibration.resize(static_cast<size_t>(n_cal));
+  for (TrainerCheckpoint::Calibration& c : ck->calibration) {
+    if (!r->GetString(&c.name) || !r->GetPod(&c.act_absmax)) return false;
+    if (!std::isfinite(c.act_absmax) || c.act_absmax < 0.0f) return false;
   }
   return r->remaining() == 0;
 }
@@ -330,7 +307,7 @@ util::Status LoadCheckpoint(const std::string& path, TrainerCheckpoint* ck) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return util::Status::InvalidArgument("not a DSC1 checkpoint: " + path);
   }
-  if (!r.GetPod(&version) || version < kMinVersion || version > kVersion) {
+  if (!r.GetPod(&version) || version != kVersion) {
     return util::Status::InvalidArgument(util::StrFormat(
         "unsupported checkpoint version %u in %s", version, path.c_str()));
   }
@@ -353,7 +330,7 @@ util::Status LoadCheckpoint(const std::string& path, TrainerCheckpoint* ck) {
         path.c_str(), stored_crc, actual_crc));
   }
   TrainerCheckpoint loaded;
-  if (!ReadPayload(&pr, version, &loaded)) {
+  if (!ReadPayload(&pr, &loaded)) {
     return util::Status::InvalidArgument("malformed checkpoint payload: " +
                                          path);
   }

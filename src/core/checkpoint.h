@@ -65,15 +65,14 @@ struct TrainerCheckpoint {
   };
   std::vector<BestEntry> best;
 
-  /// Training-time distribution of the input activity feature (format
-  /// version >= 2), the anchor for serving-side PSI drift scoring
-  /// (core/drift.h, eval::OnlineAccuracyTracker). Empty in version-1
-  /// checkpoints and when the trainer could not sample the source; not
-  /// part of the resume determinism contract.
+  /// Training-time distribution of the input activity feature, the anchor
+  /// for serving-side PSI drift scoring (core/drift.h,
+  /// eval::OnlineAccuracyTracker). Empty when the trainer could not sample
+  /// the source; not part of the resume determinism contract.
   ReferenceHistogram input_reference;
 
-  /// Per-parameter int8 calibration (nn::Parameter::act_absmax), format
-  /// version >= 3. Zero/absent entries mean "uncalibrated" (the quant
+  /// Per-parameter int8 calibration (nn::Parameter::act_absmax).
+  /// Zero/absent entries mean "uncalibrated" (the quant
   /// kernels fall back to dynamic per-row ranges); not part of the resume
   /// determinism contract — calibration never changes fp32 math.
   struct Calibration {

@@ -445,9 +445,9 @@ TrainResult Trainer::Train(
   // Int8 calibration pass over (a bounded prefix of) the training data:
   // one single-threaded run of the final averaged model with the graph in
   // calibration mode fills every weight's activation-range EWMA
-  // (Parameter::act_absmax), which Save() and the v3 checkpoint persist so
-  // serving replicas run the static quantization scales. Values are
-  // untouched; this costs one small forward sweep.
+  // (Parameter::act_absmax), which model artifacts and the v3 checkpoint
+  // persist so serving replicas run the static quantization scales.
+  // Values are untouched; this costs one small forward sweep.
   CalibrateActivations(*model, train_source);
   return result;
 }

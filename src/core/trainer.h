@@ -137,8 +137,8 @@ std::pair<double, double> EvaluateMaeRmse(const DeepSDModel& model,
 /// Fills the activation-range EWMA (nn::Parameter::act_absmax) of every
 /// weight in `model` by running calibration forward passes over up to
 /// `max_samples` inputs of `source`. The int8 kernels use these as static
-/// quantization scales; ParameterStore::Save and checkpoint v3 persist
-/// them. Trainer::Train calls this automatically at the end; fine-tuning
+/// quantization scales; model artifacts and checkpoint v3 persist them.
+/// Trainer::Train calls this automatically at the end; fine-tuning
 /// flows that bypass the trainer can call it directly. Single-threaded,
 /// deterministic, and value-preserving (predictions are not affected).
 void CalibrateActivations(const DeepSDModel& model, const InputSource& source,

@@ -137,7 +137,7 @@ void GemmBiasLRel(const float* a, const float* w, const float* bias, float* y,
 /// scales: data[p*cols + j] = round(w[p,j] / scales[j]), scales[j] =
 /// absmax(w[:,j]) / 127. Produced once per Parameter version by
 /// QuantizeWeights and cached on the Parameter (nn/parameter.h), or
-/// loaded ready-made from a quantized parameter file.
+/// bound ready-made from an int8 model artifact tensor.
 struct QuantizedWeights {
   int rows = 0;  ///< k — the contraction extent
   int cols = 0;  ///< n — output channels

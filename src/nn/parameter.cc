@@ -3,9 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "util/byte_io.h"
-#include "util/crc32.h"
-
 namespace deepsd {
 namespace nn {
 
@@ -101,303 +98,6 @@ void ParameterStore::SetFrozen(const std::string& prefix, bool frozen) {
   for (auto& p : params_) {
     if (p->name.rfind(prefix, 0) == 0) p->frozen = frozen;
   }
-}
-
-namespace {
-
-// One tensor parsed out of a parameter file, independent of the store.
-struct ParsedTensor {
-  std::string name;
-  Tensor value;
-  float act_absmax = 0.0f;
-  // Filled for int8-encoded tensors: Load installs these into the quant
-  // cache so a quantized file serves its exact saved integer weights.
-  kernels::QuantizedWeights quant;
-  bool quantized = false;
-  size_t stored_bytes = 0;  // value-payload bytes (summary reporting)
-};
-
-constexpr uint8_t kDsp2Version = 1;
-// Per-tensor value encodings inside a DSP2 payload.
-constexpr uint8_t kTensorFloat = 0;
-constexpr uint8_t kTensorInt8 = 1;
-
-util::Status ParseDsp1(util::ByteReader* in, const std::string& path,
-                       std::vector<ParsedTensor>* out) {
-  uint64_t n = 0;
-  if (!in->GetPod(&n)) {
-    return util::Status::IoError("truncated parameter file " + path);
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    ParsedTensor t;
-    int32_t rows = 0, cols = 0;
-    if (!in->GetString(&t.name, /*max_len=*/4096) || !in->GetPod(&rows) ||
-        !in->GetPod(&cols)) {
-      return util::Status::IoError("corrupt parameter file " + path);
-    }
-    if (rows < 0 || cols < 0) {
-      return util::Status::IoError("corrupt parameter file " + path);
-    }
-    const uint64_t count_floats =
-        static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols);
-    // The reader refuses any tensor larger than the remaining bytes, so a
-    // corrupt header can never trigger a runaway allocation.
-    if (count_floats > in->remaining() / sizeof(float)) {
-      return util::Status::IoError("truncated parameter file " + path);
-    }
-    t.value = Tensor(rows, cols);
-    t.stored_bytes = static_cast<size_t>(count_floats) * sizeof(float);
-    if (count_floats > 0 && !in->GetRaw(t.value.data(), t.stored_bytes)) {
-      return util::Status::IoError("truncated parameter file " + path);
-    }
-    out->push_back(std::move(t));
-  }
-  return util::Status::OK();
-}
-
-util::Status ParseDsp2(util::ByteReader* in, const std::string& path,
-                       std::vector<ParsedTensor>* out, bool* quantized_file) {
-  uint8_t version = 0, encoding = 0;
-  uint64_t payload_len = 0;
-  if (!in->GetPod(&version) || !in->GetPod(&encoding) ||
-      !in->GetPod(&payload_len)) {
-    return util::Status::IoError("truncated parameter file " + path);
-  }
-  if (version != kDsp2Version) {
-    return util::Status::InvalidArgument(
-        "unsupported DSP2 version in " + path);
-  }
-  if (payload_len + sizeof(uint32_t) > in->remaining()) {
-    return util::Status::IoError("truncated parameter file " + path);
-  }
-  // Verify the CRC seal before parsing a byte of the payload.
-  std::vector<char> payload_bytes(payload_len);
-  if (payload_len > 0 && !in->GetRaw(payload_bytes.data(), payload_len)) {
-    return util::Status::IoError("truncated parameter file " + path);
-  }
-  uint32_t crc = 0;
-  if (!in->GetPod(&crc)) {
-    return util::Status::IoError("truncated parameter file " + path);
-  }
-  if (crc != util::Crc32(payload_bytes.data(), payload_bytes.size())) {
-    return util::Status::InvalidArgument(
-        "checksum mismatch in parameter file " + path);
-  }
-  util::ByteReader r(payload_bytes);
-  uint64_t n = 0;
-  if (!r.GetPod(&n)) {
-    return util::Status::IoError("corrupt parameter file " + path);
-  }
-  if (quantized_file != nullptr) *quantized_file = encoding == 1;
-  for (uint64_t i = 0; i < n; ++i) {
-    ParsedTensor t;
-    int32_t rows = 0, cols = 0;
-    uint8_t tmode = 0;
-    if (!r.GetString(&t.name, /*max_len=*/4096) || !r.GetPod(&rows) ||
-        !r.GetPod(&cols) || !r.GetPod(&t.act_absmax) || !r.GetPod(&tmode)) {
-      return util::Status::IoError("corrupt parameter file " + path);
-    }
-    if (rows < 0 || cols < 0 || !std::isfinite(t.act_absmax) ||
-        t.act_absmax < 0.0f) {
-      return util::Status::IoError("corrupt parameter file " + path);
-    }
-    const uint64_t count =
-        static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols);
-    // Compressed tensors can be smaller than their element count, but not
-    // absurdly so — this bounds the allocation a corrupt-but-CRC-passing
-    // header could request.
-    if (count / 64 > r.remaining()) {
-      return util::Status::IoError("truncated parameter file " + path);
-    }
-    t.value = Tensor(rows, cols);
-    const size_t before = r.position();
-    if (tmode == kTensorFloat) {
-      if (count > 0 &&
-          !util::GetFloatBlock(&r, t.value.data(), static_cast<size_t>(count))) {
-        return util::Status::IoError("truncated parameter file " + path);
-      }
-    } else if (tmode == kTensorInt8) {
-      t.quantized = true;
-      t.quant.rows = rows;
-      t.quant.cols = cols;
-      if (!r.GetPodVec(&t.quant.scales) ||
-          t.quant.scales.size() != static_cast<size_t>(cols)) {
-        return util::Status::IoError("corrupt parameter file " + path);
-      }
-      for (float s : t.quant.scales) {
-        if (!std::isfinite(s) || s < 0.0f) {
-          return util::Status::IoError("corrupt parameter file " + path);
-        }
-      }
-      if (count > r.remaining()) {
-        return util::Status::IoError("truncated parameter file " + path);
-      }
-      t.quant.data.resize(static_cast<size_t>(count));
-      if (count > 0 && !r.GetRaw(t.quant.data.data(),
-                                 static_cast<size_t>(count))) {
-        return util::Status::IoError("truncated parameter file " + path);
-      }
-      // Dequantize into the fp32 view so non-quant kernel modes (and any
-      // later fine-tuning) see the same weights the int8 path serves.
-      for (int p = 0; p < rows; ++p) {
-        for (int j = 0; j < cols; ++j) {
-          const size_t idx = static_cast<size_t>(p) * cols + j;
-          t.value.data()[idx] =
-              static_cast<float>(t.quant.data[idx]) * t.quant.scales[j];
-        }
-      }
-    } else {
-      return util::Status::InvalidArgument(
-          "unknown tensor encoding in parameter file " + path);
-    }
-    t.stored_bytes = r.position() - before;
-    out->push_back(std::move(t));
-  }
-  if (r.remaining() != 0) {
-    return util::Status::IoError("corrupt parameter file " + path);
-  }
-  return util::Status::OK();
-}
-
-// Shared front half of Load and ReadParameterFileSummary: reads `path`,
-// dispatches on the magic, and returns fully-validated tensors.
-util::Status ParseParameterFile(const std::string& path,
-                                std::vector<ParsedTensor>* out,
-                                std::string* format) {
-  // ReadFileBytes routes through util::FaultInjector, so injected
-  // truncation/bit-flips exercise every rejection branch below.
-  std::vector<char> bytes;
-  if (util::Status s = util::ReadFileBytes(path, &bytes); !s.ok()) return s;
-
-  util::ByteReader in(bytes);
-  char magic[4];
-  if (!in.GetRaw(magic, 4)) {
-    return util::Status::InvalidArgument("bad magic in " + path);
-  }
-  util::Status st = util::Status::OK();
-  bool quantized_file = false;
-  if (std::memcmp(magic, "DSP1", 4) == 0) {
-    if (format != nullptr) *format = "DSP1";
-    st = ParseDsp1(&in, path, out);
-  } else if (std::memcmp(magic, "DSP2", 4) == 0) {
-    st = ParseDsp2(&in, path, out, &quantized_file);
-    if (format != nullptr) *format = quantized_file ? "DSP2/quant" : "DSP2/full";
-  } else {
-    return util::Status::InvalidArgument("bad magic in " + path);
-  }
-  if (!st.ok()) return st;
-  // Weights must be finite: a bit-flip that survives parsing would
-  // otherwise silently poison every downstream prediction. (DSP2 is also
-  // CRC-sealed; this catches DSP1 and defense-in-depth for both.)
-  for (const ParsedTensor& t : *out) {
-    for (float v : t.value.flat()) {
-      if (!std::isfinite(v)) {
-        return util::Status::InvalidArgument(
-            "non-finite value for parameter '" + t.name + "' in " + path);
-      }
-    }
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
-
-util::Status ParameterStore::Save(const std::string& path,
-                                  SaveFormat format) const {
-  util::ByteWriter out;
-  if (format == SaveFormat::kRaw) {
-    out.PutRaw("DSP1", 4);
-    out.PutPod<uint64_t>(params_.size());
-    for (const auto& p : params_) {
-      const Tensor& value = p->value;  // may be a read-only store view
-      out.PutString(p->name);
-      out.PutPod<int32_t>(value.rows());
-      out.PutPod<int32_t>(value.cols());
-      out.PutRaw(value.data(), value.size() * sizeof(float));
-    }
-  } else {
-    util::ByteWriter payload;
-    payload.PutPod<uint64_t>(params_.size());
-    for (const auto& p : params_) {
-      const Tensor& value = p->value;  // may be a read-only store view
-      payload.PutString(p->name);
-      payload.PutPod<int32_t>(value.rows());
-      payload.PutPod<int32_t>(value.cols());
-      payload.PutPod<float>(p->act_absmax);
-      // Only calibrated GEMM weights (act_absmax > 0) go int8. Bias rows
-      // ([1, n]) are a rounding-error-sized fraction of the bytes and the
-      // quant kernels add them in fp32; embedding tables are consumed as
-      // fp32 lookups, never through a quant GEMM, so quantizing them would
-      // make a loaded quant file diverge from in-memory quant serving.
-      const bool int8_tensor = format == SaveFormat::kQuantized &&
-                               value.rows() > 1 && p->act_absmax > 0.0f;
-      if (int8_tensor) {
-        const kernels::QuantizedWeights& q = p->Quantized();
-        payload.PutPod<uint8_t>(kTensorInt8);
-        payload.PutPodVec(q.scales);
-        payload.PutRaw(q.data.data(), q.data.size());
-      } else {
-        payload.PutPod<uint8_t>(kTensorFloat);
-        util::PutFloatBlock(&payload, value.data(), value.size());
-      }
-    }
-    out.PutRaw("DSP2", 4);
-    out.PutPod<uint8_t>(kDsp2Version);
-    out.PutPod<uint8_t>(format == SaveFormat::kQuantized ? 1 : 0);
-    out.PutPod<uint64_t>(payload.size());
-    out.PutRaw(payload.bytes().data(), payload.size());
-    out.PutPod<uint32_t>(
-        util::Crc32(payload.bytes().data(), payload.size()));
-  }
-  // Atomic replace: a crash mid-save leaves the previous model intact
-  // instead of a torn file.
-  return util::AtomicWriteFile(path, out.bytes());
-}
-
-util::Status ParameterStore::Load(const std::string& path, int* loaded) {
-  // Parse everything before touching the store: a file that turns out to
-  // be torn halfway through must not leave the model half-loaded.
-  std::vector<ParsedTensor> tensors;
-  if (util::Status s = ParseParameterFile(path, &tensors, nullptr); !s.ok()) {
-    return s;
-  }
-  int count = 0;
-  for (ParsedTensor& t : tensors) {
-    Parameter* p = Find(t.name);
-    if (p != nullptr && p->value.SameShape(t.value)) {
-      p->value = std::move(t.value);
-      p->act_absmax = t.act_absmax;
-      p->BumpVersion();
-      if (t.quantized) p->InstallQuantized(std::move(t.quant));
-      ++count;
-    }
-  }
-  if (loaded != nullptr) *loaded = count;
-  return util::Status::OK();
-}
-
-util::Status ReadParameterFileSummary(const std::string& path,
-                                      std::string* format,
-                                      std::vector<ParameterFileEntry>* out) {
-  std::vector<ParsedTensor> tensors;
-  if (util::Status s = ParseParameterFile(path, &tensors, format); !s.ok()) {
-    return s;
-  }
-  out->clear();
-  for (const ParsedTensor& t : tensors) {
-    ParameterFileEntry e;
-    e.name = t.name;
-    e.rows = t.value.rows();
-    e.cols = t.value.cols();
-    e.quantized = t.quantized;
-    e.stored_bytes = t.stored_bytes;
-    e.act_absmax = t.act_absmax;
-    double norm = 0.0;
-    for (float v : t.value.flat()) norm += static_cast<double>(v) * v;
-    e.norm = std::sqrt(norm);
-    out->push_back(std::move(e));
-  }
-  return util::Status::OK();
 }
 
 int ParameterStore::CopyFrom(const ParameterStore& other) {

@@ -12,7 +12,6 @@
 #include "nn/kernels.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
-#include "util/status.h"
 
 namespace deepsd {
 namespace nn {
@@ -27,12 +26,13 @@ struct Parameter {
   bool frozen = false;
   /// EWMA'd absmax of the activations multiplied against this weight,
   /// captured by the trainer's calibration pass (core/trainer.cc) and
-  /// serialized with the values. 0 means "uncalibrated": the quant
-  /// kernels then fall back to per-row dynamic ranges.
+  /// stored with the values in checkpoints and model artifacts. 0 means
+  /// "uncalibrated": the quant kernels then fall back to per-row dynamic
+  /// ranges.
   float act_absmax = 0.0f;
 
   /// Monotonic value-mutation tag. Every code path that rewrites `value`
-  /// (optimizer steps, Load, CopyFrom, AverageFrom, the trainer's
+  /// (optimizer steps, CopyFrom, AverageFrom, InstallValue, the trainer's
   /// apply-checkpoint) bumps it, which is what invalidates the cached
   /// int8 weights below — fine-tuning a loaded model can never serve
   /// stale quantized weights.
@@ -48,9 +48,9 @@ struct Parameter {
   const kernels::QuantizedWeights& Quantized() const;
 
   /// Installs a ready-made quantized form for the *current* version —
-  /// used by the parameter loader so replicas that load a quantized file
-  /// serve the exact int8 weights that were saved, with no requantization
-  /// round-trip.
+  /// used by store::StoredModel when it binds an int8 artifact tensor, so
+  /// replicas serve the exact int8 weights that were packed, with no
+  /// requantization round-trip.
   void InstallQuantized(kernels::QuantizedWeights qw);
 
   /// Replaces `value` (and the int8 calibration) under the version
@@ -116,36 +116,6 @@ class ParameterStore {
   /// Marks parameters whose name starts with `prefix` as frozen/unfrozen.
   void SetFrozen(const std::string& prefix, bool frozen);
 
-  /// On-disk encodings of Save. Every format round-trips through Load;
-  /// see docs/performance.md ("File formats and versioning").
-  enum class SaveFormat {
-    /// Legacy "DSP1": raw fp32 tensors, no checksum. Kept so existing
-    /// tooling and files stay exchangeable.
-    kRaw,
-    /// "DSP2" full precision: losslessly compressed float blocks +
-    /// calibration, CRC-sealed. Bit-exact round-trip — the default.
-    kCompressed,
-    /// "DSP2" quantized: calibrated GEMM weights (act_absmax > 0) as int8
-    /// with per-output-channel scales; biases and embedding tables stay
-    /// losslessly compressed fp32 (embeddings are consumed by lookup, not
-    /// through a quant GEMM). CRC-sealed, ~4x smaller on the GEMM weights;
-    /// lossy only where the quant kernels already round. Loading installs
-    /// the int8 weights straight into the quant cache, so a serving
-    /// replica under DEEPSD_KERNEL=quant runs exactly the saved integer
-    /// weights — bit-identical to in-memory quant serving.
-    kQuantized,
-  };
-
-  /// Binary round-trip of all parameter values (+ calibration for the
-  /// DSP2 formats).
-  util::Status Save(const std::string& path,
-                    SaveFormat format = SaveFormat::kCompressed) const;
-  /// Loads values into matching (same name and shape) parameters; unknown
-  /// names in the file are ignored, missing ones keep their current values.
-  /// Accepts every SaveFormat (the magic/version header picks the parser).
-  /// `*loaded` (optional) reports how many parameters were filled.
-  util::Status Load(const std::string& path, int* loaded = nullptr);
-
   /// Deep copy of all values from `other` for parameters with matching
   /// name and shape. Returns the number copied.
   int CopyFrom(const ParameterStore& other);
@@ -164,26 +134,6 @@ class ParameterStore {
 
 /// Fills `t` in place according to `init`.
 void InitTensor(Tensor* t, Init init, util::Rng* rng);
-
-/// One tensor's table-of-contents entry in a saved parameter file, as
-/// reported by ReadParameterFileSummary — the shared parser behind
-/// deepsd_inspect and deepsd_model_info.
-struct ParameterFileEntry {
-  std::string name;
-  int32_t rows = 0;
-  int32_t cols = 0;
-  bool quantized = false;    ///< stored as int8 codes + per-column scales
-  size_t stored_bytes = 0;   ///< on-disk bytes of this tensor's value payload
-  float act_absmax = 0.0f;   ///< calibration (0 in DSP1 files)
-  double norm = 0.0;         ///< ||w|| of the (de)quantized values
-};
-
-/// Parses a parameter file of any SaveFormat without needing a matching
-/// store. `*format` gets a human-readable format tag ("DSP1",
-/// "DSP2/full", "DSP2/quant").
-util::Status ReadParameterFileSummary(const std::string& path,
-                                      std::string* format,
-                                      std::vector<ParameterFileEntry>* out);
 
 /// Shard-local gradient accumulator for data-parallel training.
 ///

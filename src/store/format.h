@@ -84,8 +84,7 @@ enum class TensorEncoding : uint8_t {
   /// storage at bind time.
   kCompressedF32 = 1,
   /// int8 codes + per-column fp32 scales (nn::kernels::QuantizedWeights
-  /// layout); bound as the quant cache plus a dequantized fp32 value,
-  /// exactly like loading a DSP2/quant file.
+  /// layout); bound as the quant cache plus a dequantized fp32 value.
   kInt8 = 2,
 };
 

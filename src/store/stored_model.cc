@@ -181,6 +181,19 @@ float MappedEmpiricalAverage::Predict(int area, int t) const {
   return 0.0f;
 }
 
+bool ParseParamEncoding(const std::string& name, ParamEncoding* out) {
+  if (name == "raw") {
+    *out = ParamEncoding::kRaw;
+  } else if (name == "compressed") {
+    *out = ParamEncoding::kCompressed;
+  } else if (name == "quant") {
+    *out = ParamEncoding::kQuant;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 void EncodeParamsSections(const nn::ParameterStore& params,
                           ParamEncoding encoding, std::vector<char>* idx,
                           std::vector<char>* blob) {
@@ -195,8 +208,11 @@ void EncodeParamsSections(const nn::ParameterStore& params,
     rec.rows = value.rows();
     rec.cols = value.cols();
     rec.act_absmax = p->act_absmax;
-    // The DSP2 quantized policy: only calibrated GEMM weights go int8;
-    // biases and embedding tables stay fp32 (see ParameterStore::Save).
+    // Only calibrated GEMM weights go int8. Bias rows ([1, n]) are a
+    // rounding-error-sized fraction of the bytes and the quant kernels add
+    // them in fp32; embedding tables are consumed as fp32 lookups, never
+    // through a quant GEMM, so quantizing them would make a stored quant
+    // model diverge from in-memory quant serving.
     const bool int8_tensor = encoding == ParamEncoding::kQuant &&
                              value.rows() > 1 && p->act_absmax > 0.0f;
     if (int8_tensor) {
@@ -417,9 +433,9 @@ util::Status StoredModel::Bind() {
                              p->name + "'");
           }
         }
-        // Dequantize into fp32 exactly as the DSP2 quantized loader does,
-        // so every kernel mode serves the same weights as a replica that
-        // loaded the quantized parameter file.
+        // Dequantize into the fp32 view so non-quant kernel modes (and a
+        // fine-tune that warm-starts from this artifact) see the same
+        // weights the int8 path serves.
         nn::Tensor t(rec.rows, rec.cols);
         for (int row = 0; row < rec.rows; ++row) {
           for (int col = 0; col < rec.cols; ++col) {

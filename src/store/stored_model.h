@@ -90,12 +90,16 @@ enum class ParamEncoding {
   /// Losslessly compressed float blocks — smaller artifact, owned copies
   /// at open. Bit-exact with kRaw.
   kCompressed,
-  /// Calibrated GEMM weights as int8 codes + per-column scales (the DSP2
-  /// quantized policy: rows > 1 and act_absmax > 0), everything else raw
-  /// fp32. A DEEPSD_KERNEL=quant replica serves the exact saved integer
-  /// weights.
+  /// Calibrated GEMM weights (rows > 1 and act_absmax > 0) as int8 codes +
+  /// per-column scales; embedding tables, biases and uncalibrated weights
+  /// stay raw fp32. A DEEPSD_KERNEL=quant replica serves the exact packed
+  /// integer weights.
   kQuant,
 };
+
+/// Parses the tools' encoding names — "raw", "compressed", "quant" — into
+/// `*out`. False (and `*out` untouched) for any other name.
+bool ParseParamEncoding(const std::string& name, ParamEncoding* out);
 
 /// Encodes a parameter store into the "params.idx" / "params.bin" section
 /// pair. Tensor payloads are 64-byte aligned inside the blob (the blob

@@ -209,18 +209,22 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   cv_.notify_all();
 
   RunChunks(state.get());
+  // The lowest-indexed chunk's exception is moved out under the lock: a
+  // helper task may drop the last ForState reference after this point,
+  // and it must never free the exception the caller is rethrowing.
+  std::exception_ptr first_error;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->done_cv.wait(lock,
                         [&state] { return state->active_helpers == 0; });
+    if (!state->errors.empty()) {
+      auto first = std::min_element(
+          state->errors.begin(), state->errors.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      first_error = std::move(first->second);
+    }
   }
-
-  if (!state->errors.empty()) {
-    auto first = std::min_element(
-        state->errors.begin(), state->errors.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::rethrow_exception(first->second);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 size_t ThreadPool::pending_tasks() const {

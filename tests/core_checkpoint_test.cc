@@ -319,6 +319,22 @@ TEST_F(CheckpointTest, UnsupportedFutureVersionRejected) {
   EXPECT_EQ(st.code(), util::Status::Code::kInvalidArgument);
 }
 
+TEST_F(CheckpointTest, RetiredVersionRejected) {
+  // v1/v2 checkpoints are no longer read: a v2 header is a typed error
+  // naming the version, even though the CRC-sealed payload is intact.
+  TrainerCheckpoint ck;
+  ck.config.epochs = 1;
+  ASSERT_TRUE(SaveCheckpoint(ck, Path("old.ck")).ok());
+  std::vector<char> bytes = ReadAll(Path("old.ck"));
+  bytes[4] = 2;  // u32 version little-endian low byte, after "DSC1"
+  WriteAll(Path("old.ck"), bytes);
+  TrainerCheckpoint out;
+  util::Status st = LoadCheckpoint(Path("old.ck"), &out);
+  EXPECT_EQ(st.code(), util::Status::Code::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("version 2"), std::string::npos)
+      << st.ToString();
+}
+
 TEST_F(CheckpointTest, TrainerCapturesInputReferenceAtCheckpointTime) {
   std::string path = CaptureCheckpoint(/*copy_at_epoch=*/1, /*every=*/4);
   TrainerCheckpoint ck;

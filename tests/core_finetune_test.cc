@@ -6,8 +6,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <memory>
 
 #include "src/core/trainer.h"
+#include "src/store/pack.h"
+#include "src/store/stored_model.h"
 #include "tests/test_util.h"
 
 namespace deepsd {
@@ -145,7 +148,7 @@ TEST_F(FinetuneTest, FreezingOldBlocksTrainsOnlyNewOnes) {
 
 TEST_F(FinetuneTest, SaveLoadPreservesPredictions) {
   auto path = (std::filesystem::temp_directory_path() /
-               ("deepsd_model_" + std::to_string(::getpid()) + ".bin"))
+               ("deepsd_model_" + std::to_string(::getpid()) + ".dsar"))
                   .string();
   nn::ParameterStore store;
   util::Rng rng(5);
@@ -157,15 +160,19 @@ TEST_F(FinetuneTest, SaveLoadPreservesPredictions) {
   tc.best_k = 0;
   Trainer(tc).Train(&model, &store, train, test);
   std::vector<float> before = model.Predict(test);
-  ASSERT_TRUE(store.Save(path).ok());
+  store::PackOptions pack;
+  pack.encoding = store::ParamEncoding::kCompressed;
+  ASSERT_TRUE(
+      store::PackModelArtifact(model, store, nullptr, pack, path).ok());
 
+  std::shared_ptr<const store::StoredModel> stored;
+  ASSERT_TRUE(store::StoredModel::Open(path, &stored).ok());
   nn::ParameterStore store2;
-  util::Rng rng2(999);  // different init — must be overwritten by Load
+  util::Rng rng2(999);  // different init — must be overwritten by the copy
   DeepSDModel model2(Config(true), DeepSDModel::Mode::kAdvanced, &store2,
                      &rng2);
-  int loaded = 0;
-  ASSERT_TRUE(store2.Load(path, &loaded).ok());
-  EXPECT_EQ(static_cast<size_t>(loaded), store2.parameters().size());
+  EXPECT_EQ(static_cast<size_t>(store2.CopyFrom(stored->params())),
+            store2.parameters().size());
   std::vector<float> after = model2.Predict(test);
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "src/core/trainer.h"
 #include "src/data/serialize.h"
 #include "src/sim/city_sim.h"
+#include "src/store/pack.h"
+#include "src/store/stored_model.h"
 
 namespace deepsd {
 namespace {
@@ -67,20 +70,28 @@ TEST_F(PipelineTest, FullWorkflowRoundTrips) {
   tc.best_k = 0;
   core::Trainer(tc).Train(&model, &store, train, test);
   std::vector<float> preds = model.Predict(test);
-  ASSERT_TRUE(store.Save(Path("model.bin")).ok());
+  store::PackOptions pack;
+  pack.encoding = store::ParamEncoding::kCompressed;
+  ASSERT_TRUE(store::PackModelArtifact(model, store, nullptr, pack,
+                                       Path("model.dsar"))
+                  .ok());
 
-  // 4. Reload the model into a fresh store: identical predictions.
+  // 4. Reopen the artifact: the manifest rebuilds the model, which
+  // predicts identically, and a fresh store warm-started from it too.
+  std::shared_ptr<const store::StoredModel> stored;
+  ASSERT_TRUE(store::StoredModel::Open(Path("model.dsar"), &stored).ok());
   nn::ParameterStore store2;
   util::Rng rng2(999);
   core::DeepSDModel model2(config, core::DeepSDModel::Mode::kAdvanced,
                            &store2, &rng2);
-  int loaded = 0;
-  ASSERT_TRUE(store2.Load(Path("model.bin"), &loaded).ok());
-  EXPECT_EQ(static_cast<size_t>(loaded), store2.parameters().size());
-  std::vector<float> preds2 = model2.Predict(test);
-  ASSERT_EQ(preds.size(), preds2.size());
-  for (size_t i = 0; i < preds.size(); ++i) {
-    ASSERT_FLOAT_EQ(preds[i], preds2[i]) << i;
+  EXPECT_EQ(static_cast<size_t>(store2.CopyFrom(stored->params())),
+            store2.parameters().size());
+  for (const std::vector<float>& preds2 :
+       {stored->model().Predict(test), model2.Predict(test)}) {
+    ASSERT_EQ(preds.size(), preds2.size());
+    for (size_t i = 0; i < preds.size(); ++i) {
+      ASSERT_FLOAT_EQ(preds[i], preds2[i]) << i;
+    }
   }
 
   // 5. Extend the reloaded model with a wider config? Here: drop traffic

@@ -1,14 +1,17 @@
 #include "src/nn/parameter.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "util/byte_io.h"
+#include "core/model.h"
+#include "store/pack.h"
+#include "store/stored_model.h"
 
 namespace deepsd {
 namespace nn {
@@ -70,48 +73,91 @@ TEST(ParameterStoreTest, SetFrozenByPrefix) {
   EXPECT_FALSE(store.Find("traffic.fc1.w")->frozen);
 }
 
-TEST(ParameterStoreTest, SaveLoadRoundTrip) {
-  auto path = (std::filesystem::temp_directory_path() /
-               ("deepsd_params_" + std::to_string(::getpid()) + ".bin"))
-                  .string();
-  ParameterStore store;
-  util::Rng rng(5);
-  Parameter* a = store.Create("a", 3, 4, Init::kGlorotUniform, &rng);
-  Parameter* b = store.Create("b", 1, 2, Init::kGlorotUniform, &rng);
-  Tensor a_vals = a->value, b_vals = b->value;
-  ASSERT_TRUE(store.Save(path).ok());
+// A tiny basic model packed into a raw DSAR1 artifact: the only model
+// file format, and the source every warm start copies from.
+std::string PackTinyModel(const core::DeepSDConfig& config, uint64_t seed,
+                          const char* tag) {
+  const std::string path = ::testing::TempDir() + "/params_" + tag + "_" +
+                           std::to_string(::getpid()) + ".dsar";
+  ParameterStore params;
+  util::Rng rng(seed);
+  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
+                          &rng);
+  const util::Status st = store::PackModelArtifact(
+      model, params, nullptr, store::PackOptions(), path);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return path;
+}
 
-  // Perturb, then load back.
-  a->value.Fill(0.0f);
-  b->value.Fill(0.0f);
-  int loaded = 0;
-  ASSERT_TRUE(store.Load(path, &loaded).ok());
-  EXPECT_EQ(loaded, 2);
-  for (size_t i = 0; i < a_vals.size(); ++i) {
-    EXPECT_FLOAT_EQ(a->value.flat()[i], a_vals.flat()[i]);
-  }
-  for (size_t i = 0; i < b_vals.size(); ++i) {
-    EXPECT_FLOAT_EQ(b->value.flat()[i], b_vals.flat()[i]);
+core::DeepSDConfig TinyConfig() {
+  core::DeepSDConfig config;
+  config.num_areas = 3;
+  config.use_weather = false;
+  config.use_traffic = false;
+  return config;
+}
+
+TEST(ParameterStoreTest, SaveLoadRoundTrip) {
+  const std::string path = PackTinyModel(TinyConfig(), 5, "roundtrip");
+  std::shared_ptr<const store::StoredModel> stored;
+  ASSERT_TRUE(store::StoredModel::Open(path, &stored).ok());
+
+  // A fresh store of the same structure, perturbed, then loaded back.
+  ParameterStore store;
+  util::Rng rng(99);
+  core::DeepSDModel model(TinyConfig(), core::DeepSDModel::Mode::kBasic,
+                          &store, &rng);
+  for (auto& p : store.parameters()) p->value.Fill(0.0f);
+  EXPECT_EQ(store.CopyFrom(stored->params()),
+            static_cast<int>(store.parameters().size()));
+  for (const auto& p : store.parameters()) {
+    const Parameter* src = stored->params().Find(p->name);
+    ASSERT_NE(src, nullptr) << p->name;
+    // The copy is owned and writable even though the source is a view
+    // into the mapping.
+    EXPECT_FALSE(p->value.is_view()) << p->name;
+    EXPECT_EQ(std::memcmp(p->value.data(), src->value.data(),
+                          p->value.size() * sizeof(float)),
+              0)
+        << p->name;
   }
   std::filesystem::remove(path);
 }
 
 TEST(ParameterStoreTest, LoadIgnoresUnknownAndMismatched) {
-  auto path = (std::filesystem::temp_directory_path() /
-               ("deepsd_params2_" + std::to_string(::getpid()) + ".bin"))
-                  .string();
-  ParameterStore writer;
-  util::Rng rng(6);
-  writer.Create("shared", 2, 2, Init::kGlorotUniform, &rng);
-  writer.Create("only_in_file", 1, 1, Init::kGlorotUniform, &rng);
-  ASSERT_TRUE(writer.Save(path).ok());
+  // Warm-starting a different structure from an artifact copies only the
+  // tensors whose name and shape match: more areas reshape the area
+  // embedding, and the weather block is absent from the file.
+  const std::string path = PackTinyModel(TinyConfig(), 6, "mismatch");
+  std::shared_ptr<const store::StoredModel> stored;
+  ASSERT_TRUE(store::StoredModel::Open(path, &stored).ok());
 
+  core::DeepSDConfig wider = TinyConfig();
+  wider.num_areas = 5;
+  wider.use_weather = true;
   ParameterStore reader;
-  reader.Create("shared", 2, 2, Init::kZero, &rng);
-  reader.Create("wrong_shape", 3, 3, Init::kZero, &rng);
-  int loaded = 0;
-  ASSERT_TRUE(reader.Load(path, &loaded).ok());
-  EXPECT_EQ(loaded, 1);
+  util::Rng rng(7);
+  core::DeepSDModel model(wider, core::DeepSDModel::Mode::kBasic, &reader,
+                          &rng);
+  const Tensor area_before = reader.Find("id.area.embed")->value;
+  const Tensor weather_before = reader.Find("weather.fc1.w")->value;
+  const int copied = reader.CopyFrom(stored->params());
+  EXPECT_GT(copied, 0);
+  EXPECT_LT(copied, static_cast<int>(reader.parameters().size()));
+
+  const Tensor& sd = reader.Find("sd.fc1.w")->value;
+  const Tensor& sd_file = stored->params().Find("sd.fc1.w")->value;
+  EXPECT_EQ(std::memcmp(sd.data(), sd_file.data(), sd.size() * sizeof(float)),
+            0);
+  // Mismatched and unknown tensors keep their own initialization.
+  const Tensor& area = reader.Find("id.area.embed")->value;
+  EXPECT_EQ(std::memcmp(area.data(), area_before.data(),
+                        area.size() * sizeof(float)),
+            0);
+  const Tensor& weather = reader.Find("weather.fc1.w")->value;
+  EXPECT_EQ(std::memcmp(weather.data(), weather_before.data(),
+                        weather.size() * sizeof(float)),
+            0);
   std::filesystem::remove(path);
 }
 
@@ -150,139 +196,6 @@ TEST(ParameterStoreTest, AverageFrom) {
   base.AverageFrom({s1.get(), s2.get()});
   EXPECT_FLOAT_EQ(base.Find("w")->value.at(0, 0), 4.0f);
   EXPECT_FLOAT_EQ(base.Find("w")->value.at(0, 1), 2.0f);
-}
-
-// --- DSP1 / DSP2 save formats ---------------------------------------------
-
-std::string TempPath(const char* tag) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("deepsd_params_") + tag + "_" +
-           std::to_string(::getpid()) + ".bin"))
-      .string();
-}
-
-// A store shaped like a real model slice: a calibrated GEMM weight, an
-// uncalibrated embedding table, and a bias row.
-void MakeModelishStore(ParameterStore* store, util::Rng* rng) {
-  Parameter* w = store->Create("fc.w", 24, 16, Init::kGlorotUniform, rng);
-  w->act_absmax = 3.5f;
-  store->Create("embed.table", 50, 8, Init::kEmbedding, rng);
-  store->Create("fc.b", 1, 16, Init::kGlorotUniform, rng);
-}
-
-bool BitEqual(const Tensor& a, const Tensor& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         (a.size() == 0 ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-TEST(ParameterFormatTest, CompressedRoundTripsBitExactWithCalibration) {
-  const std::string path = TempPath("dsp2");
-  ParameterStore store;
-  util::Rng rng(11);
-  MakeModelishStore(&store, &rng);
-  Tensor w = store.Find("fc.w")->value;
-  ASSERT_TRUE(store.Save(path, ParameterStore::SaveFormat::kCompressed).ok());
-
-  ParameterStore loaded;
-  util::Rng rng2(12);  // different init: values must come from the file
-  MakeModelishStore(&loaded, &rng2);
-  loaded.Find("fc.w")->act_absmax = 0.0f;
-  int n = 0;
-  ASSERT_TRUE(loaded.Load(path, &n).ok());
-  EXPECT_EQ(n, 3);
-  EXPECT_TRUE(BitEqual(loaded.Find("fc.w")->value, w));
-  EXPECT_TRUE(
-      BitEqual(loaded.Find("embed.table")->value, store.Find("embed.table")->value));
-  EXPECT_FLOAT_EQ(loaded.Find("fc.w")->act_absmax, 3.5f);  // calibration travels
-  std::filesystem::remove(path);
-}
-
-TEST(ParameterFormatTest, LegacyRawFormatStillRoundTrips) {
-  const std::string path = TempPath("dsp1");
-  ParameterStore store;
-  util::Rng rng(13);
-  MakeModelishStore(&store, &rng);
-  ASSERT_TRUE(store.Save(path, ParameterStore::SaveFormat::kRaw).ok());
-  // DSP1 has no calibration section: magic must be the legacy one and the
-  // values must still load bit-exactly.
-  std::vector<char> bytes;
-  ASSERT_TRUE(util::ReadFileBytes(path, &bytes).ok());
-  ASSERT_GE(bytes.size(), 4u);
-  EXPECT_EQ(std::string(bytes.data(), 4), "DSP1");
-
-  ParameterStore loaded;
-  util::Rng rng2(14);
-  MakeModelishStore(&loaded, &rng2);
-  int n = 0;
-  ASSERT_TRUE(loaded.Load(path, &n).ok());
-  EXPECT_EQ(n, 3);
-  EXPECT_TRUE(BitEqual(loaded.Find("fc.w")->value, store.Find("fc.w")->value));
-  std::filesystem::remove(path);
-}
-
-TEST(ParameterFormatTest, QuantizedOnlyCoversCalibratedGemmWeights) {
-  const std::string path = TempPath("quant");
-  ParameterStore store;
-  util::Rng rng(15);
-  MakeModelishStore(&store, &rng);
-  ASSERT_TRUE(store.Save(path, ParameterStore::SaveFormat::kQuantized).ok());
-
-  std::string format;
-  std::vector<ParameterFileEntry> entries;
-  ASSERT_TRUE(ReadParameterFileSummary(path, &format, &entries).ok());
-  ASSERT_EQ(entries.size(), 3u);
-  for (const ParameterFileEntry& e : entries) {
-    if (e.name == "fc.w") {
-      EXPECT_TRUE(e.quantized);  // calibrated GEMM weight → int8
-      EXPECT_FLOAT_EQ(e.act_absmax, 3.5f);
-    } else {
-      // Embedding tables (fp32 lookups) and bias rows stay lossless.
-      EXPECT_FALSE(e.quantized) << e.name;
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(ParameterFormatTest, QuantizedLoadInstallsExactSavedCodes) {
-  const std::string path = TempPath("quant_cache");
-  ParameterStore store;
-  util::Rng rng(16);
-  MakeModelishStore(&store, &rng);
-  const kernels::QuantizedWeights saved = store.Find("fc.w")->Quantized();
-  ASSERT_TRUE(store.Save(path, ParameterStore::SaveFormat::kQuantized).ok());
-
-  ParameterStore loaded;
-  util::Rng rng2(17);
-  MakeModelishStore(&loaded, &rng2);
-  ASSERT_TRUE(loaded.Load(path, nullptr).ok());
-  // The loader installed the file's int8 codes directly — identical to
-  // what the saver quantized, with no fp32 round-trip in between.
-  const kernels::QuantizedWeights& q = loaded.Find("fc.w")->Quantized();
-  EXPECT_EQ(q.data, saved.data);
-  EXPECT_EQ(q.scales, saved.scales);
-  // Lossless tensors are untouched by the quantized format.
-  EXPECT_TRUE(BitEqual(loaded.Find("embed.table")->value,
-                       store.Find("embed.table")->value));
-  EXPECT_TRUE(BitEqual(loaded.Find("fc.b")->value, store.Find("fc.b")->value));
-  std::filesystem::remove(path);
-}
-
-TEST(ParameterFormatTest, CorruptDsp2Rejected) {
-  const std::string path = TempPath("corrupt");
-  ParameterStore store;
-  util::Rng rng(18);
-  MakeModelishStore(&store, &rng);
-  ASSERT_TRUE(store.Save(path, ParameterStore::SaveFormat::kCompressed).ok());
-  std::vector<char> bytes;
-  ASSERT_TRUE(util::ReadFileBytes(path, &bytes).ok());
-  bytes[bytes.size() / 2] ^= 0x10;  // payload bit flip → CRC mismatch
-  ASSERT_TRUE(util::AtomicWriteFile(path, bytes).ok());
-  ParameterStore victim;
-  util::Rng rng2(19);
-  MakeModelishStore(&victim, &rng2);
-  EXPECT_FALSE(victim.Load(path, nullptr).ok());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

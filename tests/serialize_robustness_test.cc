@@ -6,9 +6,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
+#include "src/core/model.h"
 #include "src/data/serialize.h"
 #include "src/nn/parameter.h"
+#include "src/store/pack.h"
+#include "src/store/stored_model.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -80,12 +84,20 @@ TEST_P(RobustnessTest, DatasetLoaderSurvivesByteFlips) {
 }
 
 TEST_P(RobustnessTest, ParameterLoaderSurvivesCorruption) {
+  // Model parameters load from a DSAR1 artifact (StoredModel::Open); a
+  // warm start then copies them into a live store.
+  core::DeepSDConfig config;
+  config.num_areas = 2;
+  config.use_weather = false;
+  config.use_traffic = false;
   nn::ParameterStore store;
   util::Rng init_rng(1);
-  store.Create("a.w", 4, 4, nn::Init::kGlorotUniform, &init_rng);
-  store.Create("b.w", 2, 8, nn::Init::kGlorotUniform, &init_rng);
-  ASSERT_TRUE(store.Save(Path("p.bin")).ok());
-  std::vector<char> bytes = ReadAll(Path("p.bin"));
+  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &store,
+                          &init_rng);
+  ASSERT_TRUE(store::PackModelArtifact(model, store, nullptr,
+                                       store::PackOptions(), Path("p.dsar"))
+                  .ok());
+  std::vector<char> bytes = ReadAll(Path("p.dsar"));
   util::Rng rng(GetParam() * 31 + 7);
   size_t cut = 1 + rng.UniformInt(bytes.size() - 1);
   std::vector<char> mangled(bytes.begin(),
@@ -93,11 +105,20 @@ TEST_P(RobustnessTest, ParameterLoaderSurvivesCorruption) {
   for (int flips = 0; flips < 4 && !mangled.empty(); ++flips) {
     mangled[rng.UniformInt(mangled.size())] ^= 0x5A;
   }
-  WriteAll(Path("pc.bin"), mangled);
-  int loaded = 0;
-  util::Status st = store.Load(Path("pc.bin"), &loaded);
-  (void)st;  // error or partial load; just must not crash
-  EXPECT_LE(loaded, 2);
+  WriteAll(Path("pc.dsar"), mangled);
+  std::shared_ptr<const store::StoredModel> stored;
+  util::Status st = store::StoredModel::Open(Path("pc.dsar"), &stored);
+  if (st.ok()) {
+    // Whatever survives validation is a complete model, never a partial
+    // one.
+    EXPECT_EQ(store.CopyFrom(stored->params()),
+              static_cast<int>(store.parameters().size()));
+  } else {
+    EXPECT_TRUE(st.code() == util::Status::Code::kInvalidArgument ||
+                st.code() == util::Status::Code::kIoError ||
+                st.code() == util::Status::Code::kFailedPrecondition)
+        << st.ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(CorruptionSeeds, RobustnessTest,

@@ -281,6 +281,134 @@ TEST(StoredModelTest, QuantArtifactOpensAndCoversEveryParameter) {
   EXPECT_EQ(stored->params().parameters().size(), want.size());
 }
 
+/// Calibration as the trainer leaves it: GEMM weights carry an activation
+/// range, embedding tables none. Two edges of the int8 policy are pinned
+/// on top: one GEMM weight stays uncalibrated, and one bias row is
+/// calibrated (bias rows never go int8).
+void CalibrateLikeTrainer(nn::ParameterStore* params) {
+  for (auto& p : params->parameters()) {
+    const std::string& n = p->name;
+    if (n.size() > 2 && n.compare(n.size() - 2, 2, ".w") == 0) {
+      p->act_absmax = 2.5f;
+    }
+  }
+  params->Find("head.out.w")->act_absmax = 0.0f;
+  params->Find("sd.fc1.b")->act_absmax = 1.5f;
+}
+
+bool BitEqual(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(StoredModelTest, QuantizedOnlyCoversCalibratedGemmWeights) {
+  const std::string path = ::testing::TempDir() + "/stored_policy.dsar";
+  nn::ParameterStore params;
+  util::Rng rng(15);
+  core::DeepSDModel model(TinyConfig(), core::DeepSDModel::Mode::kBasic,
+                          &params, &rng);
+  CalibrateLikeTrainer(&params);
+  PackOptions options;
+  options.encoding = ParamEncoding::kQuant;
+  ASSERT_TRUE(PackModelArtifact(model, params, nullptr, options, path).ok());
+
+  std::shared_ptr<const ModelStore> ms;
+  ASSERT_TRUE(ModelStore::Open(path, &ms).ok());
+  const char* idx = nullptr;
+  const char* blob = nullptr;
+  size_t idx_size = 0, blob_size = 0;
+  ASSERT_TRUE(ms->Section(kSectionParamsIndex, &idx, &idx_size).ok());
+  ASSERT_TRUE(ms->Section(kSectionParamsBlob, &blob, &blob_size).ok());
+  std::vector<TensorRecord> records;
+  ASSERT_TRUE(DecodeParamsIndex(idx, idx_size, blob_size, &records).ok());
+  ASSERT_EQ(records.size(), params.parameters().size());
+  int int8_tensors = 0;
+  for (const TensorRecord& r : records) {
+    const nn::Parameter* p = params.Find(r.name);
+    ASSERT_NE(p, nullptr) << r.name;
+    EXPECT_EQ(r.act_absmax, p->act_absmax) << r.name;  // calibration travels
+    const bool calibrated_gemm = r.rows > 1 && p->act_absmax > 0.0f;
+    EXPECT_EQ(r.encoding == TensorEncoding::kInt8, calibrated_gemm)
+        << r.name;
+    int8_tensors += r.encoding == TensorEncoding::kInt8;
+  }
+  EXPECT_GT(int8_tensors, 0);
+  // Embedding tables (fp32 lookups), bias rows and uncalibrated weights
+  // stay fp32.
+  for (const TensorRecord& r : records) {
+    if (r.name == "id.area.embed" || r.name == "sd.fc1.b" ||
+        r.name == "head.out.w") {
+      EXPECT_EQ(r.encoding, TensorEncoding::kRawF32) << r.name;
+    }
+    if (r.name == "sd.fc1.w") {
+      EXPECT_EQ(r.encoding, TensorEncoding::kInt8);
+    }
+  }
+}
+
+TEST(StoredModelTest, QuantizedLoadInstallsExactSavedCodes) {
+  const std::string path = ::testing::TempDir() + "/stored_codes.dsar";
+  nn::ParameterStore params;
+  util::Rng rng(16);
+  core::DeepSDModel model(TinyConfig(), core::DeepSDModel::Mode::kBasic,
+                          &params, &rng);
+  CalibrateLikeTrainer(&params);
+  const nn::kernels::QuantizedWeights saved =
+      params.Find("sd.fc1.w")->Quantized();
+  PackOptions options;
+  options.encoding = ParamEncoding::kQuant;
+  ASSERT_TRUE(PackModelArtifact(model, params, nullptr, options, path).ok());
+
+  std::shared_ptr<const StoredModel> stored;
+  ASSERT_TRUE(StoredModel::Open(path, &stored).ok());
+  // Bind installed the artifact's int8 codes directly — identical to what
+  // the packer quantized, with no fp32 round-trip in between — and the
+  // fp32 view is their exact dequantization.
+  const nn::Parameter* w = stored->params().Find("sd.fc1.w");
+  const nn::kernels::QuantizedWeights& q = w->Quantized();
+  EXPECT_EQ(q.rows, saved.rows);
+  EXPECT_EQ(q.cols, saved.cols);
+  EXPECT_EQ(q.data, saved.data);
+  EXPECT_EQ(q.scales, saved.scales);
+  for (int row = 0; row < q.rows; ++row) {
+    for (int col = 0; col < q.cols; ++col) {
+      const size_t i = static_cast<size_t>(row) * q.cols + col;
+      ASSERT_EQ(w->value.data()[i],
+                static_cast<float>(q.data[i]) * q.scales[col]);
+    }
+  }
+  // Lossless tensors are untouched by the quantized encoding.
+  for (const char* name : {"id.area.embed", "sd.fc1.b", "head.out.w"}) {
+    EXPECT_TRUE(BitEqual(stored->params().Find(name)->value,
+                         params.Find(name)->value))
+        << name;
+  }
+}
+
+TEST(StoredModelTest, CompressedRoundTripsBitExactWithCalibration) {
+  const std::string path = ::testing::TempDir() + "/stored_compressed.dsar";
+  nn::ParameterStore params;
+  util::Rng rng(11);
+  core::DeepSDModel model(TinyConfig(), core::DeepSDModel::Mode::kBasic,
+                          &params, &rng);
+  CalibrateLikeTrainer(&params);
+  PackOptions options;
+  options.encoding = ParamEncoding::kCompressed;
+  ASSERT_TRUE(PackModelArtifact(model, params, nullptr, options, path).ok());
+
+  std::shared_ptr<const StoredModel> stored;
+  ASSERT_TRUE(StoredModel::Open(path, &stored).ok());
+  ASSERT_EQ(stored->params().parameters().size(), params.parameters().size());
+  for (const auto& p : params.parameters()) {
+    const nn::Parameter* got = stored->params().Find(p->name);
+    ASSERT_NE(got, nullptr) << p->name;
+    EXPECT_TRUE(BitEqual(got->value, p->value)) << p->name;
+    EXPECT_FALSE(got->value.is_view()) << p->name;  // decoded, owned
+    EXPECT_EQ(got->act_absmax, p->act_absmax) << p->name;
+  }
+}
+
 TEST(StoredModelTest, EaSectionServesTheFittedBaseline) {
   std::vector<data::PredictionItem> items;
   for (int area = 0; area < 4; ++area) {

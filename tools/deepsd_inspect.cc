@@ -1,15 +1,13 @@
 // deepsd_inspect: summarize a saved dataset — volumes, gap distribution,
-// per-area activity, weather mix — or a saved parameter file.
+// per-area activity, weather mix. (Model artifacts: deepsd_store inspect.)
 //
 //   deepsd_inspect --data=city.bin
-//   deepsd_inspect --params=model.bin
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "data/serialize.h"
-#include "nn/parameter.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include <vector>
@@ -84,41 +82,15 @@ int InspectData(const std::string& path) {
   return 0;
 }
 
-int InspectParams(const std::string& path) {
-  using namespace deepsd;
-  std::string format;
-  std::vector<nn::ParameterFileEntry> entries;
-  util::Status st = nn::ReadParameterFileSummary(path, &format, &entries);
-  if (!st.ok()) {
-    std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
-                 st.ToString().c_str());
-    return 1;
-  }
-  std::printf("parameter file %s (%s): %zu tensors\n", path.c_str(),
-              format.c_str(), entries.size());
-  size_t total = 0;
-  for (const nn::ParameterFileEntry& e : entries) {
-    std::printf("  %-24s [%5d x %-5d]  ||w|| = %.4f%s\n", e.name.c_str(),
-                e.rows, e.cols, e.norm, e.quantized ? "  (int8)" : "");
-    total += static_cast<size_t>(e.rows) * static_cast<size_t>(e.cols);
-  }
-  std::printf("total weights: %zu\n", total);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   deepsd::util::CommandLine cli(argc, argv);
-  deepsd::util::Status st = cli.CheckKnown({"data", "params", "help"});
-  if (!st.ok() || cli.GetBool("help", false) ||
-      (!cli.Has("data") && !cli.Has("params"))) {
-    std::fprintf(stderr,
-                 "%s\nusage: deepsd_inspect --data=city.bin | "
-                 "--params=model.bin\n",
+  deepsd::util::Status st = cli.CheckKnown({"data", "help"});
+  if (!st.ok() || cli.GetBool("help", false) || !cli.Has("data")) {
+    std::fprintf(stderr, "%s\nusage: deepsd_inspect --data=city.bin\n",
                  st.ToString().c_str());
     return 2;
   }
-  if (cli.Has("data")) return InspectData(cli.GetString("data"));
-  return InspectParams(cli.GetString("params"));
+  return InspectData(cli.GetString("data"));
 }

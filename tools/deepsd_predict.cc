@@ -1,14 +1,18 @@
-// deepsd_predict: load a dataset + trained parameters and predict gaps.
+// deepsd_predict: load a dataset + a trained DSAR1 model artifact and
+// predict gaps. The model's mode and block structure come from the
+// artifact's manifest.
 //
-//   deepsd_predict --data=city.bin --model=model.bin --mode=advanced
-//                  --ref_days=24 --day=30 [--area=all] [--t=all] [--csv=out.csv]
+//   deepsd_predict --data=city.bin --model=model.bin --ref_days=24 --day=30
+//                  [--area=all] [--t=all] [--csv=out.csv] [--explain]
 
 #include <cstdio>
+#include <memory>
 
 #include "core/explain.h"
 #include "core/trainer.h"
 #include "data/serialize.h"
 #include "eval/metrics.h"
+#include "store/stored_model.h"
 #include "util/cli.h"
 #include "util/string_util.h"
 #include "util/csv.h"
@@ -17,17 +21,14 @@
 int main(int argc, char** argv) {
   using namespace deepsd;
   util::CommandLine cli(argc, argv);
-  util::Status st = cli.CheckKnown({"data", "model", "mode", "ref_days", "day",
-                                    "area", "t", "csv", "no_weather",
-                                    "no_traffic", "explain", "threads",
-                                    "help"});
+  util::Status st = cli.CheckKnown({"data", "model", "ref_days", "day", "area",
+                                    "t", "csv", "explain", "threads", "help"});
   if (!st.ok() || cli.GetBool("help", false) || !cli.Has("data") ||
       !cli.Has("model")) {
     std::fprintf(stderr,
                  "%s\nusage: deepsd_predict --data=city.bin --model=model.bin "
-                 "--mode=basic|advanced --ref_days=N --day=D [--area=A] "
-                 "[--t=minute] [--csv=out.csv] [--no_weather] [--no_traffic] "
-                 "[--threads=N]\n",
+                 "--ref_days=N --day=D [--area=A] [--t=minute] "
+                 "[--csv=out.csv] [--explain] [--threads=N]\n",
                  st.ToString().c_str());
     return 2;
   }
@@ -52,24 +53,20 @@ int main(int argc, char** argv) {
   feature::FeatureConfig fc;
   feature::FeatureAssembler assembler(&dataset, fc, 0, ref_days);
 
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = !cli.GetBool("no_weather", false) && dataset.has_weather();
-  config.use_traffic = !cli.GetBool("no_traffic", false) && dataset.has_traffic();
-  bool advanced = cli.GetString("mode", "advanced") == "advanced";
-  nn::ParameterStore params;
-  util::Rng rng(1);
-  core::DeepSDModel model(config,
-                          advanced ? core::DeepSDModel::Mode::kAdvanced
-                                   : core::DeepSDModel::Mode::kBasic,
-                          &params, &rng);
-  int loaded = 0;
-  st = params.Load(cli.GetString("model"), &loaded);
-  if (!st.ok() || loaded == 0) {
-    std::fprintf(stderr, "model load failed (%d tensors): %s\n", loaded,
-                 st.ToString().c_str());
+  std::shared_ptr<const store::StoredModel> stored;
+  st = store::StoredModel::Open(cli.GetString("model"), &stored);
+  if (!st.ok()) {
+    std::fprintf(stderr, "model load failed: %s\n", st.ToString().c_str());
     return 1;
   }
+  const core::DeepSDModel& model = stored->model();
+  if (model.config().num_areas != dataset.num_areas()) {
+    std::fprintf(stderr,
+                 "model was trained for %d areas but the dataset has %d\n",
+                 model.config().num_areas, dataset.num_areas());
+    return 1;
+  }
+  const bool advanced = model.mode() == core::DeepSDModel::Mode::kAdvanced;
 
   int day = static_cast<int>(cli.GetInt("day", dataset.num_days() - 1));
   std::vector<data::PredictionItem> items;

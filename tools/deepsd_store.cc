@@ -2,14 +2,21 @@
 // artifacts (docs/model_store.md) — the mmap-able serving format behind
 // zero-copy replica sharing and hot swap.
 //
-//   deepsd_store pack --params=model.bin --data=city.bin --out=model.dsar
-//                [--checkpoint=ck.bin instead of --params]
-//                [--mode=basic|advanced] [--no_weather] [--no_traffic]
+//   deepsd_store pack --params=model.bin --out=model.dsar
 //                [--encoding=raw|compressed|quant] [--version_id=tag]
-//                [--ea] [--ref_days=N]
+//                [--ea --data=city.bin [--ref_days=N]]
+//   deepsd_store pack --checkpoint=ck.bin --data=city.bin --out=model.dsar
+//                [--mode=basic|advanced] [--no_weather] [--no_traffic]
+//                [same encoding / version / ea flags]
 //   deepsd_store verify model.dsar       # exit 0 iff fully valid
 //   deepsd_store inspect model.dsar      # header, TOC, manifest, tensors
 //   deepsd_store diff a.dsar b.dsar      # exit 0 same, 1 differ, 2 error
+//
+// pack --params repacks an existing artifact (as deepsd_train writes it),
+// e.g. to change its encoding or ship the tier-3 baseline with --ea; the
+// model structure comes from the artifact's manifest. A checkpoint carries
+// no model config, so pack --checkpoint rebuilds the structure from the
+// dataset and the --mode/--no_weather/--no_traffic flags.
 
 #include <cmath>
 #include <cstdio>
@@ -25,7 +32,6 @@
 #include "store/pack.h"
 #include "store/stored_model.h"
 #include "util/cli.h"
-#include "util/rng.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -37,10 +43,13 @@ int Usage(const util::Status& st) {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  deepsd_store pack --params=model.bin|--checkpoint=ck.bin "
-      "--data=city.bin --out=model.dsar [--mode=basic|advanced] "
-      "[--no_weather] [--no_traffic] [--encoding=raw|compressed|quant] "
-      "[--version_id=tag] [--ea] [--ref_days=N]\n"
+      "  deepsd_store pack --params=model.bin --out=model.dsar "
+      "[--encoding=raw|compressed|quant] [--version_id=tag] "
+      "[--ea --data=city.bin [--ref_days=N]]\n"
+      "  deepsd_store pack --checkpoint=ck.bin --data=city.bin "
+      "--out=model.dsar [--mode=basic|advanced] [--no_weather] "
+      "[--no_traffic] [--encoding=...] [--version_id=tag] [--ea] "
+      "[--ref_days=N]\n"
       "  deepsd_store verify model.dsar\n"
       "  deepsd_store inspect model.dsar\n"
       "  deepsd_store diff a.dsar b.dsar\n");
@@ -61,43 +70,52 @@ const char* EncodingName(store::TensorEncoding e) {
   return "?";
 }
 
+std::string Bytes(size_t n) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%zu", n);
+  return buf;
+}
+
+std::string Ratio(size_t fp32, size_t stored) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2fx",
+                stored > 0 ? static_cast<double>(fp32) / stored : 0.0);
+  return buf;
+}
+
 const char* ModeName(core::DeepSDModel::Mode mode) {
   return mode == core::DeepSDModel::Mode::kAdvanced ? "advanced" : "basic";
 }
 
 int Pack(const util::CommandLine& cli) {
-  if (!cli.Has("data") || !cli.Has("out") ||
-      (cli.Has("params") == cli.Has("checkpoint"))) {
+  const bool from_checkpoint = cli.Has("checkpoint");
+  if (!cli.Has("out") || cli.Has("params") == from_checkpoint) {
     return Usage(util::Status::InvalidArgument(
-        "pack needs --data, --out, and exactly one of "
-        "--params / --checkpoint"));
+        "pack needs --out and exactly one of --params / --checkpoint"));
+  }
+  if (!from_checkpoint &&
+      (cli.Has("mode") || cli.Has("no_weather") || cli.Has("no_traffic"))) {
+    return Usage(util::Status::InvalidArgument(
+        "--mode/--no_weather/--no_traffic apply only to --checkpoint; an "
+        "artifact's structure comes from its manifest"));
+  }
+  const bool with_ea = cli.GetBool("ea", false);
+  if ((from_checkpoint || with_ea) && !cli.Has("data")) {
+    return Usage(util::Status::InvalidArgument(
+        "pack --checkpoint and pack --ea need --data"));
   }
 
   data::OrderDataset dataset;
-  util::Status st = data::LoadDataset(cli.GetString("data"), &dataset);
-  if (!st.ok()) return Fail("load dataset", st);
-
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather =
-      !cli.GetBool("no_weather", false) && dataset.has_weather();
-  config.use_traffic =
-      !cli.GetBool("no_traffic", false) && dataset.has_traffic();
-  const bool advanced = cli.GetString("mode", "advanced") == "advanced";
-  const core::DeepSDModel::Mode mode =
-      advanced ? core::DeepSDModel::Mode::kAdvanced
-               : core::DeepSDModel::Mode::kBasic;
+  util::Status st = util::Status::OK();
+  if (cli.Has("data")) {
+    st = data::LoadDataset(cli.GetString("data"), &dataset);
+    if (!st.ok()) return Fail("load dataset", st);
+  }
 
   store::PackOptions options;
   options.version_id = cli.GetString("version_id", "unversioned");
   const std::string enc = cli.GetString("encoding", "raw");
-  if (enc == "raw") {
-    options.encoding = store::ParamEncoding::kRaw;
-  } else if (enc == "compressed") {
-    options.encoding = store::ParamEncoding::kCompressed;
-  } else if (enc == "quant") {
-    options.encoding = store::ParamEncoding::kQuant;
-  } else {
+  if (!store::ParseParamEncoding(enc, &options.encoding)) {
     return Usage(util::Status::InvalidArgument(
         "--encoding must be raw, compressed, or quant"));
   }
@@ -106,7 +124,7 @@ int Pack(const util::CommandLine& cli) {
   // same reference window the serving FeatureAssembler would use.
   baselines::EmpiricalAverage ea;
   const baselines::EmpiricalAverage* ea_ptr = nullptr;
-  if (cli.GetBool("ea", false)) {
+  if (with_ea) {
     const int ref_days = static_cast<int>(
         cli.GetInt("ref_days", dataset.num_days() * 2 / 3));
     ea.Fit(data::MakeTrainItems(dataset, 0, ref_days));
@@ -114,27 +132,32 @@ int Pack(const util::CommandLine& cli) {
   }
 
   const std::string out = cli.GetString("out");
-  if (cli.Has("checkpoint")) {
+  if (from_checkpoint) {
     core::TrainerCheckpoint ck;
     st = core::LoadCheckpoint(cli.GetString("checkpoint"), &ck);
     if (!st.ok()) return Fail("load checkpoint", st);
+    core::DeepSDConfig config;
+    config.num_areas = dataset.num_areas();
+    config.use_weather =
+        !cli.GetBool("no_weather", false) && dataset.has_weather();
+    config.use_traffic =
+        !cli.GetBool("no_traffic", false) && dataset.has_traffic();
+    const core::DeepSDModel::Mode mode =
+        cli.GetString("mode", "advanced") == "advanced"
+            ? core::DeepSDModel::Mode::kAdvanced
+            : core::DeepSDModel::Mode::kBasic;
     st = store::PackCheckpointArtifact(ck, config, mode, ea_ptr, options,
                                        out);
-    if (!st.ok()) return Fail("pack", st);
   } else {
-    nn::ParameterStore params;
-    util::Rng rng(1);
-    core::DeepSDModel model(config, mode, &params, &rng);
-    int loaded = 0;
-    st = params.Load(cli.GetString("params"), &loaded);
-    if (!st.ok() || loaded == 0) {
-      return Fail("load params", st.ok() ? util::Status::InvalidArgument(
-                                               "no matching tensors")
-                                         : st);
-    }
-    st = store::PackModelArtifact(model, params, ea_ptr, options, out);
-    if (!st.ok()) return Fail("pack", st);
+    // The source stays mapped until the repack is written, so packing
+    // over the input path is safe (the write is an atomic rename).
+    std::shared_ptr<const store::StoredModel> source;
+    st = store::StoredModel::Open(cli.GetString("params"), &source);
+    if (!st.ok()) return Fail("load params", st);
+    st = store::PackModelArtifact(source->model(), source->params(), ea_ptr,
+                                  options, out);
   }
+  if (!st.ok()) return Fail("pack", st);
 
   // Round-trip as proof of packaging: a pack that cannot be reopened is a
   // failure now, not at the swap that tries to serve it.
@@ -212,21 +235,30 @@ int Inspect(const std::string& path) {
     std::vector<store::TensorRecord> records;
     st = store::DecodeParamsIndex(data, size, blob_size, &records);
     if (!st.ok()) return Fail("params index", st);
-    util::TablePrinter table(
-        {"tensor", "shape", "enc", "bytes", "act_absmax"});
-    size_t total = 0;
+    // Stored bytes against the fp32 footprint show what each encoding
+    // buys; packing one model under each --encoding compares them.
+    util::TablePrinter table({"tensor", "shape", "enc", "fp32_bytes",
+                              "stored_bytes", "ratio", "act_absmax"});
+    size_t total_fp32 = 0, total_stored = 0, calibrated = 0;
     for (const store::TensorRecord& r : records) {
-      char shape[32], bytes[32], absmax[32];
+      const size_t fp32 = static_cast<size_t>(r.rows) *
+                          static_cast<size_t>(r.cols) * sizeof(float);
+      const size_t stored =
+          static_cast<size_t>(r.data_bytes + r.scales_bytes);
+      total_fp32 += fp32;
+      total_stored += stored;
+      calibrated += r.act_absmax > 0.0f;
+      char shape[32], absmax[32];
       std::snprintf(shape, sizeof(shape), "%dx%d", r.rows, r.cols);
-      std::snprintf(bytes, sizeof(bytes), "%llu",
-                    static_cast<unsigned long long>(r.data_bytes +
-                                                    r.scales_bytes));
       std::snprintf(absmax, sizeof(absmax), "%.4g", r.act_absmax);
-      total += r.data_bytes + r.scales_bytes;
-      table.AddRow({r.name, shape, EncodingName(r.encoding), bytes, absmax});
+      table.AddRow({r.name, shape, EncodingName(r.encoding), Bytes(fp32),
+                    Bytes(stored), Ratio(fp32, stored), absmax});
     }
     table.Print();
-    std::printf("tensors %zu  payload bytes %zu\n", records.size(), total);
+    std::printf("tensors %zu  calibrated %zu  fp32 bytes %zu  "
+                "stored bytes %zu  ratio %s\n",
+                records.size(), calibrated, total_fp32, total_stored,
+                Ratio(total_fp32, total_stored).c_str());
   }
 
   if (ms->Section(store::kSectionEa, &data, &size).ok()) {

@@ -1,5 +1,5 @@
-// deepsd_train: train a DeepSD model on a saved dataset and write the
-// parameters.
+// deepsd_train: train a DeepSD model on a saved dataset and write it as a
+// DSAR1 model artifact (docs/model_store.md).
 //
 //   deepsd_train --data=city.bin --model=model.bin --mode=advanced
 //                --train_days=24 [--epochs=50] [--batch=64] [--lr=1e-3]
@@ -13,6 +13,10 @@
 // the metric registry as JSON lines and the span timeline as
 // chrome://tracing JSON (see docs/observability.md).
 //
+// --finetune_from takes a DSAR1 artifact (any encoding) and warm-starts
+// every parameter whose name and shape match (paper Sec V-C): a model
+// trained without traffic can seed one that adds the traffic block.
+//
 // --checkpoint enables fault tolerance: training state is written
 // atomically at every epoch end and (with --checkpoint_every=N) every N
 // optimizer steps. A run killed at any point can be continued with
@@ -21,12 +25,15 @@
 // --threads setting (docs/robustness.md).
 
 #include <cstdio>
+#include <memory>
 
 #include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/serialize.h"
 #include "obs/metrics_io.h"
 #include "obs/trace.h"
+#include "store/pack.h"
+#include "store/stored_model.h"
 #include "util/cli.h"
 #include "util/thread_pool.h"
 
@@ -107,15 +114,31 @@ int main(int argc, char** argv) {
               advanced ? "advanced" : "basic", params.NumWeights(),
               params.parameters().size());
 
+  // --model_format picks the artifact's tensor encoding
+  // (docs/model_store.md): raw fp32 served zero-copy, lossless compressed
+  // blocks (default), or int8 GEMM weights so serving replicas load
+  // ready-to-run quantized weights. Checked before training starts.
+  store::PackOptions pack;
+  const std::string format = cli.GetString("model_format", "compressed");
+  if (!store::ParseParamEncoding(format, &pack.encoding)) {
+    std::fprintf(stderr,
+                 "--model_format: unknown value '%s' "
+                 "(expected raw|compressed|quant)\n",
+                 format.c_str());
+    return 2;
+  }
+
   if (cli.Has("finetune_from")) {
-    int loaded = 0;
-    st = params.Load(cli.GetString("finetune_from"), &loaded);
+    const std::string from = cli.GetString("finetune_from");
+    std::shared_ptr<const store::StoredModel> source;
+    st = store::StoredModel::Open(from, &source);
     if (!st.ok()) {
       std::fprintf(stderr, "finetune load failed: %s\n", st.ToString().c_str());
       return 1;
     }
+    const int loaded = params.CopyFrom(source->params());
     std::printf("fine-tuning: %d tensors loaded from %s\n", loaded,
-                cli.GetString("finetune_from").c_str());
+                from.c_str());
   }
 
   core::TrainConfig tc;
@@ -154,25 +177,8 @@ int main(int argc, char** argv) {
               result.final_eval_mae, result.final_eval_rmse,
               result.best_eval_rmse, result.seconds_per_epoch);
 
-  // --model_format picks the on-disk encoding (docs/performance.md):
-  // raw = legacy DSP1, compressed = lossless DSP2 (default), quant = int8
-  // DSP2 so serving replicas load ready-to-run quantized weights.
-  std::string format = cli.GetString("model_format", "compressed");
-  nn::ParameterStore::SaveFormat save_format =
-      nn::ParameterStore::SaveFormat::kCompressed;
-  if (format == "raw") {
-    save_format = nn::ParameterStore::SaveFormat::kRaw;
-  } else if (format == "quant") {
-    save_format = nn::ParameterStore::SaveFormat::kQuantized;
-  } else if (format != "compressed") {
-    std::fprintf(stderr,
-                 "--model_format: unknown value '%s' "
-                 "(expected raw|compressed|quant)\n",
-                 format.c_str());
-    return 2;
-  }
   std::string out = cli.GetString("model", "model.bin");
-  st = params.Save(out, save_format);
+  st = store::PackModelArtifact(model, params, nullptr, pack, out);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
