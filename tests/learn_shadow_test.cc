@@ -1,7 +1,9 @@
 #include "src/learn/shadow_eval.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +45,11 @@ class ShadowEvalTest : public ::testing::Test {
     util::Rng rng(5);
     core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
                             &rng);
-    const std::string path = ::testing::TempDir() + "/" + id + ".dsar";
+    // Every test's fixture packs "shadow-cand", and ctest runs tests as
+    // parallel processes: a per-process name keeps their atomic writes
+    // from renaming one another's temp file away.
+    const std::string path = ::testing::TempDir() + "/" + id + "-" +
+                             std::to_string(::getpid()) + ".dsar";
     store::PackOptions options;
     options.version_id = id;
     util::Status st =
@@ -52,6 +58,7 @@ class ShadowEvalTest : public ::testing::Test {
     std::shared_ptr<const store::StoredModel> opened;
     st = store::StoredModel::Open(path, &opened);
     EXPECT_TRUE(st.ok()) << st.ToString();
+    std::remove(path.c_str());  // the open mapping keeps the bytes alive
     return opened;
   }
 
