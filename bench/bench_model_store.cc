@@ -19,14 +19,10 @@
 //      bit-identical to the in-memory model they were packed from — the
 //      raw artifact under the default kernels AND the int8 artifact under
 //      DEEPSD_KERNEL=quant.
-//   4. Hot swap: >= 120 publishes under sustained concurrent readers with
-//      zero dropped or failed requests, zero non-finite predictions, and
-//      zero version-torn outputs (every request's output is bitwise the
-//      output of exactly the version its pin named); publish latency
-//      bounded; every retired version reclaimed once readers release.
 //
-//   bench_model_store [--areas=1000] [--swaps=120] [--readers=4]
-//                     [--json=BENCH_store.json]
+// Swap-under-load lives in `deepsd_simulate --swap` (docs/model_store.md).
+//
+//   bench_model_store [--areas=1000] [--json=BENCH_store.json]
 //
 // Exit status is 0 only if every gate holds.
 
@@ -34,14 +30,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/model.h"
@@ -51,7 +43,6 @@
 #include "store/model_store.h"
 #include "store/pack.h"
 #include "store/stored_model.h"
-#include "store/versioned_model.h"
 #include "util/cli.h"
 #include "util/deadline.h"
 #include "util/rng.h"
@@ -174,18 +165,15 @@ bool BitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
 
 int Main(int argc, char** argv) {
   util::CommandLine cli(argc, argv);
-  util::Status st = cli.CheckKnown({"areas", "swaps", "readers", "json",
-                                    "help"});
+  util::Status st = cli.CheckKnown({"areas", "json", "help"});
   if (!st.ok() || cli.GetBool("help", false)) {
     std::fprintf(stderr,
-                 "%s\nusage: bench_model_store [--areas=1000] [--swaps=120] "
-                 "[--readers=4] [--json=BENCH_store.json]\n",
+                 "%s\nusage: bench_model_store [--areas=1000] "
+                 "[--json=BENCH_store.json]\n",
                  st.ToString().c_str());
     return st.ok() ? 0 : 2;
   }
   const int areas = static_cast<int>(cli.GetInt("areas", 1000));
-  const int swaps = static_cast<int>(cli.GetInt("swaps", 120));
-  const int readers = static_cast<int>(cli.GetInt("readers", 4));
   const std::string json_path =
       cli.Has("json") ? cli.GetString("json") : "BENCH_store.json";
 
@@ -193,7 +181,6 @@ int Main(int argc, char** argv) {
       "/tmp/bench_store_model_compressed.dsar";
   const std::string raw_artifact = "/tmp/bench_store_model.dsar";
   const std::string quant_artifact = "/tmp/bench_store_model_quant.dsar";
-  const std::string v2_artifact = "/tmp/bench_store_model_v2.dsar";
 
   const core::DeepSDConfig config = BenchConfig(areas);
   std::printf("building %d-area model...\n", areas);
@@ -216,8 +203,6 @@ int Main(int argc, char** argv) {
   pack(built, compressed_artifact, store::ParamEncoding::kCompressed,
        "bench-v1c");
   pack(built, quant_artifact, store::ParamEncoding::kQuant, "bench-v1q");
-  InMemoryModel built2 = BuildModel(config, /*seed=*/22);
-  pack(built2, v2_artifact, store::ParamEncoding::kRaw, "bench-v2");
 
   // --- 1. Open latency --------------------------------------------------
   std::printf("timing open vs copy load...\n");
@@ -333,103 +318,6 @@ int Main(int argc, char** argv) {
               fp32_identical ? "bit-identical" : "DIFFERS",
               quant_identical ? "bit-identical" : "DIFFERS");
 
-  // --- 4. Hot swap under load -------------------------------------------
-  std::printf("running %d hot swaps under %d concurrent readers...\n", swaps,
-              readers);
-  std::shared_ptr<const store::StoredModel> v1 = stored_raw, v2;
-  if (!store::StoredModel::Open(v2_artifact, &v2).ok()) return 1;
-  const std::vector<feature::ModelInput> swap_inputs =
-      MakeInputs(config, 16, /*seed=*/9);
-  const std::vector<float> out_v1 = v1->model().Predict(swap_inputs, 16);
-  const std::vector<float> out_v2 = v2->model().Predict(swap_inputs, 16);
-  if (BitIdentical(out_v1, out_v2)) {
-    std::fprintf(stderr, "FATAL: v1 and v2 predict identically; the torn "
-                         "detector would be blind\n");
-    return 1;
-  }
-
-  store::VersionedModel versions;
-  st = versions.Publish(v1);  // sequence 1 = v1; even sequences = v2
-  if (!st.ok()) {
-    std::fprintf(stderr, "FATAL: publish: %s\n", st.ToString().c_str());
-    return 1;
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> request_count{0}, torn{0}, non_finite{0}, failed{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(readers));
-  for (int r = 0; r < readers; ++r) {
-    threads.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        store::VersionedModel::Ref ref = versions.Acquire();
-        if (!ref) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        const std::vector<float> out =
-            ref.version()->model().Predict(swap_inputs, 16);
-        for (float v : out) {
-          if (!std::isfinite(v)) {
-            non_finite.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        // One pin, one version: the output must be bitwise the output of
-        // exactly the version the pin names. Anything else is a torn or
-        // corrupted read.
-        const std::vector<float>& expected =
-            (ref.sequence() % 2 == 1) ? out_v1 : out_v2;
-        if (!BitIdentical(out, expected)) {
-          torn.fetch_add(1, std::memory_order_relaxed);
-        }
-        request_count.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::vector<double> publish_us;
-  publish_us.reserve(static_cast<size_t>(swaps));
-  for (int i = 0; i < swaps; ++i) {
-    const std::shared_ptr<const store::ModelVersion> next =
-        (i % 2 == 0) ? std::static_pointer_cast<const store::ModelVersion>(v2)
-                     : std::static_pointer_cast<const store::ModelVersion>(v1);
-    const int64_t t0 = util::NowSteadyUs();
-    st = versions.Publish(next);
-    publish_us.push_back(static_cast<double>(util::NowSteadyUs() - t0));
-    if (!st.ok()) {
-      std::fprintf(stderr, "FATAL: publish %d: %s\n", i,
-                   st.ToString().c_str());
-      stop.store(true);
-      for (std::thread& t : threads) t.join();
-      return 1;
-    }
-    // Let readers overlap each published version.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  stop.store(true);
-  for (std::thread& t : threads) t.join();
-  versions.TryReclaim();
-  const store::VersionedModel::Stats vs = versions.stats();
-
-  std::sort(publish_us.begin(), publish_us.end());
-  const double publish_p50 = publish_us[publish_us.size() / 2];
-  const double publish_max = publish_us.back();
-  const bool swap_ok = request_count.load() > 0 && failed.load() == 0 &&
-                       torn.load() == 0 && non_finite.load() == 0 &&
-                       vs.retired_live == 0 &&
-                       publish_max < 200'000.0;  // 200 ms: a pause, not a stall
-  std::printf("  %llu requests, %llu torn, %llu non-finite, %llu failed; "
-              "publish p50 %.0f us max %.0f us; %llu reclaimed, %llu "
-              "retired live, %llu slot overflows\n",
-              static_cast<unsigned long long>(request_count.load()),
-              static_cast<unsigned long long>(torn.load()),
-              static_cast<unsigned long long>(non_finite.load()),
-              static_cast<unsigned long long>(failed.load()),
-              publish_p50, publish_max,
-              static_cast<unsigned long long>(vs.reclaimed),
-              static_cast<unsigned long long>(vs.retired_live),
-              static_cast<unsigned long long>(vs.slot_overflows));
-
   // --- JSON + verdict ---------------------------------------------------
   std::string json = "{\n";
   json += util::StrFormat(
@@ -449,22 +337,7 @@ int Main(int argc, char** argv) {
       "\"quant_bit_identical\": %s, \"ok\": %s},\n",
       fp32_identical ? "true" : "false", quant_identical ? "true" : "false",
       identity_ok ? "true" : "false");
-  json += util::StrFormat(
-      "  \"swap\": {\"swaps\": %d, \"readers\": %d, \"requests\": %llu, "
-      "\"torn\": %llu, \"non_finite\": %llu, \"failed\": %llu, "
-      "\"publish_p50_us\": %.0f, \"publish_max_us\": %.0f, \"reclaimed\": "
-      "%llu, \"retired_live\": %llu, \"slot_overflows\": %llu, \"ok\": "
-      "%s},\n",
-      swaps, readers,
-      static_cast<unsigned long long>(request_count.load()),
-      static_cast<unsigned long long>(torn.load()),
-      static_cast<unsigned long long>(non_finite.load()),
-      static_cast<unsigned long long>(failed.load()), publish_p50,
-      publish_max, static_cast<unsigned long long>(vs.reclaimed),
-      static_cast<unsigned long long>(vs.retired_live),
-      static_cast<unsigned long long>(vs.slot_overflows),
-      swap_ok ? "true" : "false");
-  const bool all_ok = open_ok && replica_ok && identity_ok && swap_ok;
+  const bool all_ok = open_ok && replica_ok && identity_ok;
   json += util::StrFormat("  \"all_gates_ok\": %s\n}\n",
                           all_ok ? "true" : "false");
 
@@ -484,7 +357,6 @@ int Main(int argc, char** argv) {
   if (!open_ok) fail("mmap open not fast enough vs copy load");
   if (!replica_ok) fail("replica resident growth not sublinear / not views");
   if (!identity_ok) fail("artifact predictions differ from in-memory load");
-  if (!swap_ok) fail("hot swap dropped, tore, or stalled requests");
   return all_ok ? 0 : 1;
 }
 

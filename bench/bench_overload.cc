@@ -98,24 +98,7 @@ int Main(int argc, char** argv) {
   const int t_now = 480;
   buffer.AdvanceTo(serve_day, t_now - fc.window);
   for (int ts = t_now - fc.window; ts < t_now; ++ts) {
-    for (int a = 0; a < dataset.num_areas(); ++a) {
-      for (const data::Order& o : dataset.OrdersAt(a, serve_day, ts)) {
-        buffer.AddOrder(o);
-      }
-      if (dataset.has_traffic()) {
-        data::TrafficRecord tr = dataset.TrafficAt(a, serve_day, ts);
-        tr.area = a;
-        tr.day = serve_day;
-        tr.ts = ts;
-        buffer.AddTraffic(tr);
-      }
-    }
-    if (dataset.has_weather()) {
-      data::WeatherRecord w = dataset.WeatherAt(serve_day, ts);
-      w.day = serve_day;
-      w.ts = ts;
-      buffer.AddWeather(w);
-    }
+    data::ReplayMinute(dataset, serve_day, ts, buffer);
   }
   predictor.AdvanceTo(serve_day, t_now);
 

@@ -58,20 +58,7 @@ int main() {
   for (int ts = 0; ts <= 1420; ++ts) {
     predictor.AdvanceTo(live_day, ts);
     // Feed this minute's events exactly as a message bus would deliver them.
-    for (int a = 0; a < dataset.num_areas(); ++a) {
-      for (const data::Order& o : dataset.OrdersAt(a, live_day, ts)) {
-        predictor.buffer().AddOrder(o);
-      }
-      data::TrafficRecord tr = dataset.TrafficAt(a, live_day, ts);
-      tr.area = a;
-      tr.day = live_day;
-      tr.ts = ts;
-      predictor.buffer().AddTraffic(tr);
-    }
-    data::WeatherRecord w = dataset.WeatherAt(live_day, ts);
-    w.day = live_day;
-    w.ts = ts;
-    predictor.buffer().AddWeather(w);
+    data::ReplayMinute(dataset, live_day, ts, predictor.buffer());
 
     // Decision epoch every 5 minutes during operating hours.
     int next = ts + 1;

@@ -124,6 +124,32 @@ class OrderDatasetBuilder {
   std::vector<TrafficRecord> traffic_;
 };
 
+/// Replays minute `ts` of `day` into `sink` as a live feed would deliver it:
+/// per area its orders, then its traffic record (when the dataset has
+/// traffic), then the citywide weather record (when it has weather). The
+/// records are stamped with (area, day, ts). `Sink` is anything with the
+/// AddOrder / AddTraffic / AddWeather surface. The clock is the caller's:
+/// this never calls AdvanceTo.
+template <typename Sink>
+void ReplayMinute(const OrderDataset& dataset, int day, int ts, Sink& sink) {
+  for (int a = 0; a < dataset.num_areas(); ++a) {
+    for (const Order& o : dataset.OrdersAt(a, day, ts)) sink.AddOrder(o);
+    if (dataset.has_traffic()) {
+      TrafficRecord tr = dataset.TrafficAt(a, day, ts);
+      tr.area = a;
+      tr.day = day;
+      tr.ts = ts;
+      sink.AddTraffic(tr);
+    }
+  }
+  if (dataset.has_weather()) {
+    WeatherRecord w = dataset.WeatherAt(day, ts);
+    w.day = day;
+    w.ts = ts;
+    sink.AddWeather(w);
+  }
+}
+
 /// Generates prediction items following the paper's protocol (Sec VI-A).
 ///
 /// Training: for each area and each day in [day_begin, day_end), one item

@@ -252,20 +252,7 @@ TEST_F(OnlineAccuracyTest, AgreesWithOfflineRecomputationOnLiveReplay) {
   std::map<std::pair<int, int>, float> predicted;
   predictor.AdvanceTo(day, start);
   for (int ts = start; ts < end; ++ts) {
-    for (int a = 0; a < ds.num_areas(); ++a) {
-      for (const data::Order& o : ds.OrdersAt(a, day, ts)) {
-        predictor.buffer().AddOrder(o);
-      }
-      data::TrafficRecord tr = ds.TrafficAt(a, day, ts);
-      tr.area = a;
-      tr.day = day;
-      tr.ts = ts;
-      predictor.buffer().AddTraffic(tr);
-    }
-    data::WeatherRecord w = ds.WeatherAt(day, ts);
-    w.day = day;
-    w.ts = ts;
-    predictor.buffer().AddWeather(w);
+    data::ReplayMinute(ds, day, ts, predictor.buffer());
     predictor.AdvanceTo(day, ts + 1);
     if ((ts + 1) % data::kGapWindow == 0 && ts + 1 < end - data::kGapWindow) {
       serving::PredictResult r =

@@ -75,20 +75,7 @@ class ParallelDeterminismTest : public ::testing::Test {
   void Replay(serving::OrderStreamBuffer* buffer, int day, int t) const {
     buffer->AdvanceTo(day, t > kL ? t - kL : 0);
     for (int ts = std::max(t - kL, 0); ts < t; ++ts) {
-      for (int a = 0; a < ds_.num_areas(); ++a) {
-        for (const data::Order& o : ds_.OrdersAt(a, day, ts)) {
-          buffer->AddOrder(o);
-        }
-        data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
-        tr.area = a;
-        tr.day = day;
-        tr.ts = ts;
-        buffer->AddTraffic(tr);
-      }
-      data::WeatherRecord w = ds_.WeatherAt(day, ts);
-      w.day = day;
-      w.ts = ts;
-      buffer->AddWeather(w);
+      data::ReplayMinute(ds_, day, ts, *buffer);
     }
     buffer->AdvanceTo(day, t);
   }

@@ -200,20 +200,7 @@ TEST_F(ServingDegradationTest, InjectedFaultsNeverProduceNonFinite) {
   const int day = 11;
   buffer.AdvanceTo(day, 480);
   for (int ts = 480; ts < 560; ++ts) {
-    for (int a = 0; a < ds_.num_areas(); ++a) {
-      for (const data::Order& o : ds_.OrdersAt(a, day, ts)) {
-        buffer.AddOrder(o);
-      }
-      data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
-      tr.area = a;
-      tr.day = day;
-      tr.ts = ts;
-      buffer.AddTraffic(tr);
-    }
-    data::WeatherRecord w = ds_.WeatherAt(day, ts);
-    w.day = day;
-    w.ts = ts;
-    buffer.AddWeather(w);
+    data::ReplayMinute(ds_, day, ts, buffer);
     predictor.AdvanceTo(day, ts + 1);
     if ((ts + 1) % 10 == 0) {
       for (float p : PredictAllTiered(predictor).gaps) {
@@ -294,20 +281,7 @@ TEST_F(ServingDegradationTest, ConcurrentFaultyIngestionWhilePredicting) {
       // past the end of the day, keep re-sending the last minute so the
       // feeder runs as long as the predictors do.
       const int minute = std::min(ts, data::kMinutesPerDay - 1);
-      for (int a = 0; a < ds_.num_areas(); ++a) {
-        for (const data::Order& o : ds_.OrdersAt(a, 11, minute)) {
-          buffer.AddOrder(o);
-        }
-        data::TrafficRecord tr = ds_.TrafficAt(a, 11, minute);
-        tr.area = a;
-        tr.day = 11;
-        tr.ts = minute;
-        buffer.AddTraffic(tr);
-      }
-      data::WeatherRecord w = ds_.WeatherAt(11, minute);
-      w.day = 11;
-      w.ts = minute;
-      buffer.AddWeather(w);
+      data::ReplayMinute(ds_, 11, minute, buffer);
       if (ts < data::kMinutesPerDay - 1) {
         buffer.AdvanceTo(11, ts + 1);
       }

@@ -51,20 +51,7 @@ class ServingQueueTest : public ::testing::Test {
     const int start = t - 60;
     buffer.AdvanceTo(day, start);
     for (int ts = start; ts < t; ++ts) {
-      for (int a = 0; a < ds_.num_areas(); ++a) {
-        for (const data::Order& o : ds_.OrdersAt(a, day, ts)) {
-          buffer.AddOrder(o);
-        }
-        data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
-        tr.area = a;
-        tr.day = day;
-        tr.ts = ts;
-        buffer.AddTraffic(tr);
-      }
-      data::WeatherRecord w = ds_.WeatherAt(day, ts);
-      w.day = day;
-      w.ts = ts;
-      buffer.AddWeather(w);
+      data::ReplayMinute(ds_, day, ts, buffer);
     }
     buffer.AdvanceTo(day, t);
   }

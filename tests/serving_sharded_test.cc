@@ -63,22 +63,7 @@ class ShardedPredictorTest : public ::testing::Test {
   void ReplayFreshFeeds(Sink& sink, int day, int t) {
     const int start = t - 60;
     sink.AdvanceTo(day, start);
-    for (int ts = start; ts < t; ++ts) {
-      for (int a = 0; a < ds_.num_areas(); ++a) {
-        for (const data::Order& o : ds_.OrdersAt(a, day, ts)) {
-          sink.AddOrder(o);
-        }
-        data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
-        tr.area = a;
-        tr.day = day;
-        tr.ts = ts;
-        sink.AddTraffic(tr);
-      }
-      data::WeatherRecord w = ds_.WeatherAt(day, ts);
-      w.day = day;
-      w.ts = ts;
-      sink.AddWeather(w);
-    }
+    for (int ts = start; ts < t; ++ts) data::ReplayMinute(ds_, day, ts, sink);
     sink.AdvanceTo(day, t);
   }
 

@@ -48,20 +48,7 @@ class ServingTest : public ::testing::Test {
   void Replay(OrderStreamBuffer* buffer, int day, int t) const {
     buffer->AdvanceTo(day, t > kL ? t - kL : 0);
     for (int ts = std::max(t - kL, 0); ts < t; ++ts) {
-      for (int a = 0; a < ds_.num_areas(); ++a) {
-        for (const data::Order& o : ds_.OrdersAt(a, day, ts)) {
-          buffer->AddOrder(o);
-        }
-        data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
-        tr.area = a;
-        tr.day = day;
-        tr.ts = ts;
-        buffer->AddTraffic(tr);
-      }
-      data::WeatherRecord w = ds_.WeatherAt(day, ts);
-      w.day = day;
-      w.ts = ts;
-      buffer->AddWeather(w);
+      data::ReplayMinute(ds_, day, ts, *buffer);
     }
     buffer->AdvanceTo(day, t);
   }
@@ -227,18 +214,7 @@ TEST_F(ServingTest, LiveFeaturesEqualOfflineAtEveryMinute) {
       &feature::ModelInput::v_tc};
   size_t compared = 0, differing = 0;
   for (int ts = 0; ts < 1430; ++ts) {
-    for (int a = 0; a < ds_.num_areas(); ++a) {
-      for (const data::Order& o : ds_.OrdersAt(a, day, ts)) buffer.AddOrder(o);
-      data::TrafficRecord tr = ds_.TrafficAt(a, day, ts);
-      tr.area = a;
-      tr.day = day;
-      tr.ts = ts;
-      buffer.AddTraffic(tr);
-    }
-    data::WeatherRecord w = ds_.WeatherAt(day, ts);
-    w.day = day;
-    w.ts = ts;
-    buffer.AddWeather(w);
+    data::ReplayMinute(ds_, day, ts, buffer);
     const int t = ts + 1;
     buffer.AdvanceTo(day, t);
     if (t < kL || predictor.CurrentTier() != FallbackTier::kNone) continue;
@@ -432,20 +408,7 @@ TEST_F(ServingTest, ConcurrentIngestAndSnapshotReaders) {
   }
 
   for (int t = 500; t < 560; ++t) {
-    for (int a = 0; a < ds_.num_areas(); ++a) {
-      for (const data::Order& o : ds_.OrdersAt(a, 11, t)) {
-        buffer.AddOrder(o);
-      }
-      data::TrafficRecord tr = ds_.TrafficAt(a, 11, t);
-      tr.area = a;
-      tr.day = 11;
-      tr.ts = t;
-      buffer.AddTraffic(tr);
-    }
-    data::WeatherRecord w = ds_.WeatherAt(11, t);
-    w.day = 11;
-    w.ts = t;
-    buffer.AddWeather(w);
+    data::ReplayMinute(ds_, 11, t, buffer);
     buffer.AdvanceTo(11, t + 1);
   }
   stop.store(true, std::memory_order_release);

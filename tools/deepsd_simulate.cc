@@ -56,6 +56,89 @@
 namespace deepsd {
 namespace {
 
+/// How a scenario's probe model is trained: `epochs` over items every
+/// `stride` minutes, evaluated on the training items or, with
+/// `eval_on_serve_day`, on the paper's test items of the serve day.
+struct ProbeOptions {
+  int epochs = 1;
+  int stride = 60;
+  bool eval_on_serve_day = false;
+};
+
+/// The model a serving scenario runs against: a `kBasic` DeepSD trained on
+/// the first two thirds of the city's days, its assembler, and the first
+/// held-out day to serve.
+struct Probe {
+  /// Live requests are asked at 08:00 of the serve day.
+  static constexpr int kMorning = 480;
+
+  const data::OrderDataset* dataset = nullptr;
+  int serve_day = 0;
+  feature::FeatureConfig fc;
+  std::unique_ptr<feature::FeatureAssembler> assembler;
+  std::unique_ptr<core::AssemblerSource> train;
+  core::TrainConfig tc;
+  nn::ParameterStore params;
+  std::unique_ptr<core::DeepSDModel> model;
+  std::vector<int> all_areas;
+
+  /// Replays the feature window before kMorning into `sink` and moves its
+  /// clock to kMorning, so requests run on fresh feeds rather than
+  /// staleness fallbacks.
+  template <typename Sink>
+  void FeedMorning(Sink& sink) const {
+    sink.AdvanceTo(serve_day, kMorning - fc.window);
+    for (int ts = kMorning - fc.window; ts < kMorning; ++ts) {
+      data::ReplayMinute(*dataset, serve_day, ts, sink);
+    }
+    sink.AdvanceTo(serve_day, kMorning);
+  }
+};
+
+/// Trains the probe for scenario `name` (the prefix of its progress lines).
+/// Returns null, and says why, when the city has fewer than 3 days.
+std::unique_ptr<Probe> TrainProbe(const data::OrderDataset& dataset,
+                                  const char* name,
+                                  const ProbeOptions& options = {}) {
+  const int num_days = dataset.num_days();
+  if (num_days < 3) {
+    std::fprintf(stderr, "%s: needs >= 3 days, have %d\n", name, num_days);
+    return nullptr;
+  }
+  const int train_days = std::max(2, num_days * 2 / 3);
+  auto p = std::make_unique<Probe>();
+  p->dataset = &dataset;
+  p->serve_day = train_days;  // the first held-out day
+  std::printf("%s: training probe model on days [0,%d)...\n", name,
+              train_days);
+  p->assembler = std::make_unique<feature::FeatureAssembler>(
+      &dataset, p->fc, 0, train_days);
+  p->train = std::make_unique<core::AssemblerSource>(
+      p->assembler.get(),
+      data::MakeItems(dataset, 0, train_days, 20, 1430, options.stride),
+      /*advanced=*/false);
+  const core::AssemblerSource test(
+      p->assembler.get(),
+      data::MakeTestItems(dataset, p->serve_day, p->serve_day + 1),
+      /*advanced=*/false);
+
+  core::DeepSDConfig config;
+  config.num_areas = dataset.num_areas();
+  config.use_weather = dataset.has_weather();
+  config.use_traffic = dataset.has_traffic();
+  util::Rng rng(7);
+  p->model = std::make_unique<core::DeepSDModel>(
+      config, core::DeepSDModel::Mode::kBasic, &p->params, &rng);
+  p->tc.epochs = options.epochs;
+  p->tc.best_k = 0;
+  core::Trainer(p->tc).Train(p->model.get(), &p->params, *p->train,
+                             options.eval_on_serve_day ? test : *p->train);
+
+  p->all_areas.resize(static_cast<size_t>(dataset.num_areas()));
+  std::iota(p->all_areas.begin(), p->all_areas.end(), 0);
+  return p;
+}
+
 /// Trains a small basic-mode model on the generated city, replays one
 /// serving day through the OnlinePredictor minute by minute, and runs a
 /// predictive closed-loop dispatch epoch — purely to exercise the
@@ -63,75 +146,31 @@ namespace {
 /// coarse item stride, and a single dispatch day.
 void RunInstrumentedPipeline(const data::OrderDataset& dataset,
                              const sim::CityConfig& city_config) {
-  const int num_days = dataset.num_days();
-  if (num_days < 3) {
-    std::fprintf(stderr,
-                 "telemetry pipeline needs >= 3 days, have %d; skipping\n",
-                 num_days);
-    return;
-  }
-  const int train_days = std::max(2, num_days * 2 / 3);
-  const int serve_day = train_days;  // first held-out day
-
   // --- Trainer spans ---
-  std::printf("telemetry: training probe model on days [0,%d)...\n",
-              train_days);
-  feature::FeatureConfig fc;
-  feature::FeatureAssembler assembler(&dataset, fc, 0, train_days);
-  auto train_items = data::MakeItems(dataset, 0, train_days, 20, 1430, 30);
-  auto eval_items = data::MakeTestItems(dataset, serve_day, serve_day + 1);
-
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = dataset.has_weather();
-  config.use_traffic = dataset.has_traffic();
-  nn::ParameterStore params;
-  util::Rng rng(7);
-  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
-                          &rng);
-  core::TrainConfig tc;
-  tc.epochs = 2;
-  tc.best_k = 0;
-  core::AssemblerSource train(&assembler, train_items, /*advanced=*/false);
-  core::AssemblerSource eval(&assembler, eval_items, /*advanced=*/false);
-  core::Trainer(tc).Train(&model, &params, train, eval);
+  std::unique_ptr<Probe> probe = TrainProbe(
+      dataset, "telemetry",
+      {.epochs = 2, .stride = 30, .eval_on_serve_day = true});
+  if (probe == nullptr) return;
+  const int serve_day = probe->serve_day;
 
   // --- Serving spans: replay the serve day like a live feed, with the
   // online accuracy tracker joining predictions against the arriving
   // ground truth and scoring input drift against the training reference.
   std::printf("telemetry: replaying day %d through OnlinePredictor...\n",
               serve_day);
-  serving::OnlinePredictor predictor(&model, &assembler);
+  serving::OnlinePredictor predictor(probe->model.get(),
+                                     probe->assembler.get());
   eval::OnlineAccuracyConfig ac;
   ac.num_areas = dataset.num_areas();
   eval::OnlineAccuracyTracker tracker(ac);
-  tracker.SetInputReference(core::BuildInputReference(train));
+  tracker.SetInputReference(core::BuildInputReference(*probe->train));
   predictor.set_prediction_observer(&tracker);
   predictor.buffer().set_stream_observer(&tracker);
-  serving::OrderStreamBuffer& buffer = predictor.buffer();
+  const std::vector<int>& all_areas = probe->all_areas;
   const int t_begin = 420, t_end = 600;  // morning peak is plenty
-  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
-  std::iota(all_areas.begin(), all_areas.end(), 0);
-  buffer.AdvanceTo(serve_day, t_begin - fc.window);
-  for (int ts = t_begin - fc.window; ts < t_end; ++ts) {
-    for (int a = 0; a < dataset.num_areas(); ++a) {
-      for (const data::Order& o : dataset.OrdersAt(a, serve_day, ts)) {
-        buffer.AddOrder(o);
-      }
-      if (dataset.has_traffic()) {
-        data::TrafficRecord tr = dataset.TrafficAt(a, serve_day, ts);
-        tr.area = a;
-        tr.day = serve_day;
-        tr.ts = ts;
-        buffer.AddTraffic(tr);
-      }
-    }
-    if (dataset.has_weather()) {
-      data::WeatherRecord w = dataset.WeatherAt(serve_day, ts);
-      w.day = serve_day;
-      w.ts = ts;
-      buffer.AddWeather(w);
-    }
+  predictor.AdvanceTo(serve_day, t_begin - probe->fc.window);
+  for (int ts = t_begin - probe->fc.window; ts < t_end; ++ts) {
+    data::ReplayMinute(dataset, serve_day, ts, predictor.buffer());
     predictor.AdvanceTo(serve_day, ts + 1);
     if ((ts + 1) % 10 == 0 && ts + 1 >= t_begin) {
       predictor.PredictBatch(all_areas);
@@ -152,7 +191,8 @@ void RunInstrumentedPipeline(const data::OrderDataset& dataset,
   // --- Dispatch spans: one short predictive closed loop ---
   std::printf("telemetry: running closed-loop dispatch on day %d...\n",
               serve_day);
-  dispatch::PredictiveGapPolicy policy(&model, &assembler);
+  dispatch::PredictiveGapPolicy policy(probe->model.get(),
+                                       probe->assembler.get());
   dispatch::ClosedLoopConfig clc;
   clc.day_begin = serve_day;
   clc.day_end = serve_day + 1;
@@ -173,65 +213,15 @@ void RunInstrumentedPipeline(const data::OrderDataset& dataset,
 bool RunOverloadScenario(const data::OrderDataset& dataset, double burst_mult,
                          int requests_per_phase,
                          obs::TimelineRecorder* recorder) {
-  const int num_days = dataset.num_days();
-  if (num_days < 3) {
-    std::fprintf(stderr, "--overload needs >= 3 days, have %d\n", num_days);
-    return false;
-  }
-  const int train_days = std::max(2, num_days * 2 / 3);
-  const int serve_day = train_days;
-
-  std::printf("overload: training probe model on days [0,%d)...\n",
-              train_days);
-  feature::FeatureConfig fc;
-  feature::FeatureAssembler assembler(&dataset, fc, 0, train_days);
-  auto train_items = data::MakeItems(dataset, 0, train_days, 20, 1430, 60);
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = dataset.has_weather();
-  config.use_traffic = dataset.has_traffic();
-  nn::ParameterStore params;
-  util::Rng rng(7);
-  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
-                          &rng);
-  core::TrainConfig tc;
-  tc.epochs = 1;
-  tc.best_k = 0;
-  core::AssemblerSource train(&assembler, train_items, /*advanced=*/false);
-  core::Trainer(tc).Train(&model, &params, train, train);
+  std::unique_ptr<Probe> probe = TrainProbe(dataset, "overload");
+  if (probe == nullptr) return false;
+  const std::vector<int>& all_areas = probe->all_areas;
 
   // Feed the live buffer a healthy morning window so admission decisions,
   // not staleness fallbacks, are what the scenario exercises.
-  serving::OnlinePredictor predictor(&model, &assembler);
-  serving::OrderStreamBuffer& buffer = predictor.buffer();
-  const int t_now = 480;
-  buffer.AdvanceTo(serve_day, t_now - fc.window);
-  for (int ts = t_now - fc.window; ts < t_now; ++ts) {
-    for (int a = 0; a < dataset.num_areas(); ++a) {
-      for (const data::Order& o : dataset.OrdersAt(a, serve_day, ts)) {
-        buffer.AddOrder(o);
-      }
-      if (dataset.has_traffic()) {
-        data::TrafficRecord tr = dataset.TrafficAt(a, serve_day, ts);
-        tr.area = a;
-        tr.day = serve_day;
-        tr.ts = ts;
-        buffer.AddTraffic(tr);
-      }
-    }
-    if (dataset.has_weather()) {
-      data::WeatherRecord w = dataset.WeatherAt(serve_day, ts);
-      w.day = serve_day;
-      w.ts = ts;
-      buffer.AddWeather(w);
-    }
-  }
-  predictor.AdvanceTo(serve_day, t_now);
-
-  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
-  for (int a = 0; a < dataset.num_areas(); ++a) {
-    all_areas[static_cast<size_t>(a)] = a;
-  }
+  serving::OnlinePredictor predictor(probe->model.get(),
+                                     probe->assembler.get());
+  probe->FeedMorning(predictor.buffer());
 
   // Calibrate: a few unhurried requests establish the service-time EWMA
   // the deadline-feasibility shed relies on.
@@ -392,75 +382,22 @@ bool RunOverloadScenario(const data::OrderDataset& dataset, double burst_mult,
 /// CI gate behind `deepsd_simulate --shards 4 --areas 1000`; returns false
 /// (and prints why) when any invariant breaks.
 bool RunShardedScenario(const data::OrderDataset& dataset, int shards) {
-  const int num_days = dataset.num_days();
-  if (num_days < 3) {
-    std::fprintf(stderr, "--shards needs >= 3 days, have %d\n", num_days);
-    return false;
-  }
   if (shards < 1) {
     std::fprintf(stderr, "--shards must be >= 1, got %d\n", shards);
     return false;
   }
-  const int train_days = std::max(2, num_days * 2 / 3);
-  const int serve_day = train_days;
-
-  std::printf("sharded: training probe model on days [0,%d)...\n",
-              train_days);
-  feature::FeatureConfig fc;
-  feature::FeatureAssembler assembler(&dataset, fc, 0, train_days);
-  auto train_items = data::MakeItems(dataset, 0, train_days, 20, 1430, 60);
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = dataset.has_weather();
-  config.use_traffic = dataset.has_traffic();
-  nn::ParameterStore params;
-  util::Rng rng(7);
-  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
-                          &rng);
-  core::TrainConfig tc;
-  tc.epochs = 1;
-  tc.best_k = 0;
-  core::AssemblerSource train(&assembler, train_items, /*advanced=*/false);
-  core::Trainer(tc).Train(&model, &params, train, train);
+  std::unique_ptr<Probe> probe = TrainProbe(dataset, "sharded");
+  if (probe == nullptr) return false;
+  const std::vector<int>& all_areas = probe->all_areas;
 
   // Identical fresh feeds into the direct predictor and each sharded
   // configuration: the equivalence check below compares like with like.
-  const int t_now = 480;
-  auto replay = [&](auto& sink) {
-    sink.AdvanceTo(serve_day, t_now - fc.window);
-    for (int ts = t_now - fc.window; ts < t_now; ++ts) {
-      for (int a = 0; a < dataset.num_areas(); ++a) {
-        for (const data::Order& o : dataset.OrdersAt(a, serve_day, ts)) {
-          sink.AddOrder(o);
-        }
-        if (dataset.has_traffic()) {
-          data::TrafficRecord tr = dataset.TrafficAt(a, serve_day, ts);
-          tr.area = a;
-          tr.day = serve_day;
-          tr.ts = ts;
-          sink.AddTraffic(tr);
-        }
-      }
-      if (dataset.has_weather()) {
-        data::WeatherRecord w = dataset.WeatherAt(serve_day, ts);
-        w.day = serve_day;
-        w.ts = ts;
-        sink.AddWeather(w);
-      }
-    }
-    sink.AdvanceTo(serve_day, t_now);
-  };
-
-  serving::OnlinePredictor direct(&model, &assembler);
-  replay(direct.buffer());
-  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
-  for (int a = 0; a < dataset.num_areas(); ++a) {
-    all_areas[static_cast<size_t>(a)] = a;
-  }
+  serving::OnlinePredictor direct(probe->model.get(), probe->assembler.get());
+  probe->FeedMorning(direct.buffer());
   const std::vector<float> want = direct.PredictBatch(all_areas).gaps;
 
   store::VersionedModel versions(
-      std::make_shared<store::BorrowedVersion>(&model));
+      std::make_shared<store::BorrowedVersion>(probe->model.get()));
   bool ok = true;
   for (int n : {1, shards}) {
     if (n == 1 && shards == 1) continue;  // don't run 1-shard twice
@@ -469,8 +406,8 @@ bool RunShardedScenario(const data::OrderDataset& dataset, int shards) {
     sc.queue.num_workers = 1;
     sc.queue.capacity = 64;
     sc.queue.watchdog_stuck_us = 0;
-    serving::ShardedPredictor sharded(&versions, &assembler, sc);
-    replay(sharded);
+    serving::ShardedPredictor sharded(&versions, probe->assembler.get(), sc);
+    probe->FeedMorning(sharded);
 
     const std::vector<int> loads =
         sharded.ring().LoadHistogram(dataset.num_areas());
@@ -557,44 +494,25 @@ bool RunShardedScenario(const data::OrderDataset& dataset, int shards) {
 ///   * a non-finite prediction;
 ///   * a version-torn output — shards of one call reporting mixed publish
 ///     sequences, or the answer's bytes not matching, bitwise, the single
-///     version its pinned sequence names.
+///     version its pinned sequence names;
+///   * a publish that takes kPublishStallUs or longer.
 ///
 /// This is the CI gate behind `deepsd_simulate --shards 4 --swap`; on
 /// failure the caller dumps the flight-recorder bundle.
+constexpr int64_t kPublishStallUs = 200'000;  // a pause, not a stall
+
 bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
                      int publishes, int readers,
                      const std::string& scratch) {
-  const int num_days = dataset.num_days();
-  if (num_days < 3) {
-    std::fprintf(stderr, "--swap needs >= 3 days, have %d\n", num_days);
-    return false;
-  }
   if (shards < 1 || publishes < 1 || readers < 1) {
     std::fprintf(stderr,
                  "--swap needs positive --shards/--swap_publishes/"
                  "--swap_readers\n");
     return false;
   }
-  const int train_days = std::max(2, num_days * 2 / 3);
-  const int serve_day = train_days;
-
-  std::printf("swap: training probe model on days [0,%d)...\n", train_days);
-  feature::FeatureConfig fc;
-  feature::FeatureAssembler assembler(&dataset, fc, 0, train_days);
-  auto train_items = data::MakeItems(dataset, 0, train_days, 20, 1430, 60);
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = dataset.has_weather();
-  config.use_traffic = dataset.has_traffic();
-  nn::ParameterStore params;
-  util::Rng rng(7);
-  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
-                          &rng);
-  core::TrainConfig tc;
-  tc.epochs = 1;
-  tc.best_k = 0;
-  core::AssemblerSource train(&assembler, train_items, /*advanced=*/false);
-  core::Trainer(tc).Train(&model, &params, train, train);
+  std::unique_ptr<Probe> probe = TrainProbe(dataset, "swap");
+  if (probe == nullptr) return false;
+  const std::vector<int>& all_areas = probe->all_areas;
 
   // Two bitwise-distinct versions: v1 as trained, v2 after one further
   // epoch — the realistic "freshly fine-tuned model replaces the serving
@@ -603,15 +521,17 @@ bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
   const std::string v2_path = scratch + ".swap_v2.dsar";
   store::PackOptions po;
   po.version_id = "swap-v1";
-  util::Status st = store::PackModelArtifact(model, params, nullptr, po,
-                                             v1_path);
+  util::Status st = store::PackModelArtifact(*probe->model, probe->params,
+                                             nullptr, po, v1_path);
   if (!st.ok()) {
     std::fprintf(stderr, "swap: pack v1 failed: %s\n", st.ToString().c_str());
     return false;
   }
-  core::Trainer(tc).Train(&model, &params, train, train);
+  core::Trainer(probe->tc).Train(probe->model.get(), &probe->params,
+                                 *probe->train, *probe->train);
   po.version_id = "swap-v2";
-  st = store::PackModelArtifact(model, params, nullptr, po, v2_path);
+  st = store::PackModelArtifact(*probe->model, probe->params, nullptr, po,
+                                v2_path);
   if (!st.ok()) {
     std::fprintf(stderr, "swap: pack v2 failed: %s\n", st.ToString().c_str());
     return false;
@@ -640,38 +560,11 @@ bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
     sc.queue.num_workers = 1;
     sc.queue.capacity = 64;
     sc.queue.watchdog_stuck_us = 0;
-    serving::ShardedPredictor sharded(&versions, &assembler, sc);
+    serving::ShardedPredictor sharded(&versions, probe->assembler.get(), sc);
 
     // A healthy morning window into every shard so the run exercises the
     // swap path, not staleness fallbacks.
-    const int t_now = 480;
-    sharded.AdvanceTo(serve_day, t_now - fc.window);
-    for (int ts = t_now - fc.window; ts < t_now; ++ts) {
-      for (int a = 0; a < dataset.num_areas(); ++a) {
-        for (const data::Order& o : dataset.OrdersAt(a, serve_day, ts)) {
-          sharded.AddOrder(o);
-        }
-        if (dataset.has_traffic()) {
-          data::TrafficRecord tr = dataset.TrafficAt(a, serve_day, ts);
-          tr.area = a;
-          tr.day = serve_day;
-          tr.ts = ts;
-          sharded.AddTraffic(tr);
-        }
-      }
-      if (dataset.has_weather()) {
-        data::WeatherRecord w = dataset.WeatherAt(serve_day, ts);
-        w.day = serve_day;
-        w.ts = ts;
-        sharded.AddWeather(w);
-      }
-    }
-    sharded.AdvanceTo(serve_day, t_now);
-
-    std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
-    for (int a = 0; a < dataset.num_areas(); ++a) {
-      all_areas[static_cast<size_t>(a)] = a;
-    }
+    probe->FeedMorning(sharded);
 
     // Reference answers per version. Publishes alternate v1/v2 from
     // sequence 1 on, so an odd pinned sequence must serve exactly want_v1
@@ -747,9 +640,15 @@ bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
     }
 
     // The publish loop: alternate versions with a breather between flips
-    // so readers land on both sides of every swap.
+    // so readers land on both sides of every swap. Each publish is timed:
+    // readers pin versions throughout, and a flip must stay a pause, not
+    // a stall.
+    std::vector<int64_t> publish_us;
+    publish_us.reserve(static_cast<size_t>(publishes));
     for (int i = 0; i < publishes && ok; ++i) {
+      const int64_t t0 = util::NowSteadyUs();
       st = versions.Publish(i % 2 == 0 ? v1 : v2);
+      publish_us.push_back(util::NowSteadyUs() - t0);
       if (!st.ok()) {
         std::fprintf(stderr, "swap FAIL: publish %d failed: %s\n", i,
                      st.ToString().c_str());
@@ -764,10 +663,14 @@ bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
 
     const store::VersionedModel::Stats vs = versions.stats();
     const serving::ServingQueueStats merged = sharded.stats().merged();
+    std::sort(publish_us.begin(), publish_us.end());
+    const int64_t publish_p50 = publish_us[publish_us.size() / 2];
+    const int64_t publish_max = publish_us.back();
     std::printf(
         "swap: %llu requests (%llu on v1-odd, %llu on v2-even), %llu "
-        "failed, %llu non-finite, %llu torn; %llu published, %llu "
-        "reclaimed, %llu retired live, %llu slot overflow(s)\n",
+        "failed, %llu non-finite, %llu torn; %llu published (p50 %lld us, "
+        "max %lld us), %llu reclaimed, %llu retired live, %llu slot "
+        "overflow(s)\n",
         static_cast<unsigned long long>(requests.load()),
         static_cast<unsigned long long>(seen_v1.load()),
         static_cast<unsigned long long>(seen_v2.load()),
@@ -775,6 +678,8 @@ bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
         static_cast<unsigned long long>(non_finite.load()),
         static_cast<unsigned long long>(torn.load()),
         static_cast<unsigned long long>(vs.published),
+        static_cast<long long>(publish_p50),
+        static_cast<long long>(publish_max),
         static_cast<unsigned long long>(vs.reclaimed),
         static_cast<unsigned long long>(vs.retired_live),
         static_cast<unsigned long long>(vs.slot_overflows));
@@ -808,6 +713,13 @@ bool RunSwapScenario(const data::OrderDataset& dataset, int shards,
                    static_cast<unsigned long long>(merged.offered),
                    static_cast<unsigned long long>(merged.admitted),
                    static_cast<unsigned long long>(merged.shed_total()));
+      ok = false;
+    }
+    if (publish_max >= kPublishStallUs) {
+      std::fprintf(stderr, "swap FAIL: a publish took %lld us (bound %lld "
+                   "us) — a swap stalled serving\n",
+                   static_cast<long long>(publish_max),
+                   static_cast<long long>(kPublishStallUs));
       ok = false;
     }
     if (vs.retired_live != 0) {
@@ -961,6 +873,28 @@ bool RunDriftScenario(const sim::CityConfig& base_config,
 
   std::printf("drift: replaying days [%d,%d) through the learner...\n",
               shift_day - 1, config.num_days);
+  // Every event goes to the learner, then the promoted side, then the
+  // frozen replica.
+  struct FanOut {
+    learn::ContinuousLearner& learner;
+    serving::OrderStreamBuffer& serving;
+    serving::OrderStreamBuffer& frozen;
+    void AddOrder(const data::Order& o) {
+      learner.OnOrder(o);
+      serving.AddOrder(o);
+      frozen.AddOrder(o);
+    }
+    void AddTraffic(const data::TrafficRecord& tr) {
+      learner.OnTraffic(tr);
+      serving.AddTraffic(tr);
+      frozen.AddTraffic(tr);
+    }
+    void AddWeather(const data::WeatherRecord& w) {
+      learner.OnWeather(w);
+      serving.AddWeather(w);
+      frozen.AddWeather(w);
+    }
+  } feed{learner, predictor.buffer(), frozen.buffer()};
   bool frozen_marked = false;
   for (int day = shift_day - 1; day < config.num_days; ++day) {
     for (int ts = 0; ts < data::kMinutesPerDay; ++ts) {
@@ -971,30 +905,7 @@ bool RunDriftScenario(const sim::CityConfig& base_config,
                      st.ToString().c_str());
         return false;
       }
-      for (int a = 0; a < num_areas; ++a) {
-        for (const data::Order& o : dataset.OrdersAt(a, day, ts)) {
-          learner.OnOrder(o);
-          predictor.buffer().AddOrder(o);
-          frozen.buffer().AddOrder(o);
-        }
-        if (dataset.has_traffic()) {
-          data::TrafficRecord tr = dataset.TrafficAt(a, day, ts);
-          tr.area = a;
-          tr.day = day;
-          tr.ts = ts;
-          learner.OnTraffic(tr);
-          predictor.buffer().AddTraffic(tr);
-          frozen.buffer().AddTraffic(tr);
-        }
-      }
-      if (dataset.has_weather()) {
-        data::WeatherRecord w = dataset.WeatherAt(day, ts);
-        w.day = day;
-        w.ts = ts;
-        learner.OnWeather(w);
-        predictor.buffer().AddWeather(w);
-        frozen.buffer().AddWeather(w);
-      }
+      data::ReplayMinute(dataset, day, ts, feed);
       predictor.AdvanceTo(day, ts + 1);
       frozen.AdvanceTo(day, ts + 1);
       if (day >= shift_day && (ts + 1) % 5 == 0 && ts + 1 >= fc.window) {
