@@ -20,14 +20,12 @@
 #include <thread>
 #include <vector>
 
-#include "core/trainer.h"
-#include "feature/feature_assembler.h"
+#include "bench/serving_probe.h"
 #include "obs/metrics.h"
 #include "obs/metrics_io.h"
 #include "obs/obs.h"
 #include "serving/online_predictor.h"
 #include "serving/serving_queue.h"
-#include "sim/city_sim.h"
 #include "util/cli.h"
 #include "util/deadline.h"
 #include "util/string_util.h"
@@ -70,42 +68,13 @@ int Main(int argc, char** argv) {
   city.num_days = static_cast<int>(cli.GetInt("days", 6));
   city.seed = 42;
   const int requests = static_cast<int>(cli.GetInt("requests", 150));
-  const int train_days = std::max(2, city.num_days * 2 / 3);
-  const int serve_day = train_days;
 
-  std::printf("simulating %d areas x %d days, training probe model...\n",
-              city.num_areas, city.num_days);
-  data::OrderDataset dataset = sim::SimulateCity(city);
-  feature::FeatureConfig fc;
-  feature::FeatureAssembler assembler(&dataset, fc, 0, train_days);
-  auto train_items = data::MakeItems(dataset, 0, train_days, 20, 1430, 60);
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = dataset.has_weather();
-  config.use_traffic = dataset.has_traffic();
-  nn::ParameterStore params;
-  util::Rng rng(7);
-  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
-                          &rng);
-  core::TrainConfig tc;
-  tc.epochs = 1;
-  tc.best_k = 0;
-  core::AssemblerSource train(&assembler, train_items, /*advanced=*/false);
-  core::Trainer(tc).Train(&model, &params, train, train);
-
-  serving::OnlinePredictor predictor(&model, &assembler);
-  serving::OrderStreamBuffer& buffer = predictor.buffer();
-  const int t_now = 480;
-  buffer.AdvanceTo(serve_day, t_now - fc.window);
-  for (int ts = t_now - fc.window; ts < t_now; ++ts) {
-    data::ReplayMinute(dataset, serve_day, ts, buffer);
-  }
-  predictor.AdvanceTo(serve_day, t_now);
-
-  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
-  for (int a = 0; a < dataset.num_areas(); ++a) {
-    all_areas[static_cast<size_t>(a)] = a;
-  }
+  const std::unique_ptr<bench::ServingProbe> probe =
+      bench::TrainServingProbe(city);
+  serving::OnlinePredictor predictor(probe->model.get(),
+                                     probe->assembler.get());
+  probe->FeedMorning(predictor.buffer());
+  const std::vector<int>& all_areas = probe->all_areas;
 
   const int64_t calib_start = util::NowSteadyUs();
   for (int i = 0; i < 8; ++i) {

@@ -22,11 +22,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/trainer.h"
-#include "feature/feature_assembler.h"
+#include "bench/serving_probe.h"
 #include "serving/online_predictor.h"
 #include "serving/sharded_predictor.h"
-#include "sim/city_sim.h"
 #include "store/versioned_model.h"
 #include "util/cli.h"
 #include "util/deadline.h"
@@ -76,48 +74,16 @@ int Main(int argc, char** argv) {
   if (city.num_areas > 200) city.mean_scale = 0.2;
   const int hotspot_requests =
       static_cast<int>(cli.GetInt("hotspot_requests", 25));
-  const int train_days = std::max(2, city.num_days * 2 / 3);
-  const int serve_day = train_days;
-
-  std::printf("simulating %d areas x %d days, training probe model...\n",
-              city.num_areas, city.num_days);
-  data::OrderDataset dataset = sim::SimulateCity(city);
-  feature::FeatureConfig fc;
-  feature::FeatureAssembler assembler(&dataset, fc, 0, train_days);
-  auto train_items = data::MakeItems(dataset, 0, train_days, 20, 1430, 60);
-  core::DeepSDConfig config;
-  config.num_areas = dataset.num_areas();
-  config.use_weather = dataset.has_weather();
-  config.use_traffic = dataset.has_traffic();
-  nn::ParameterStore params;
-  util::Rng rng(7);
-  core::DeepSDModel model(config, core::DeepSDModel::Mode::kBasic, &params,
-                          &rng);
-  core::TrainConfig tc;
-  tc.epochs = 1;
-  tc.best_k = 0;
-  core::AssemblerSource train(&assembler, train_items, /*advanced=*/false);
-  core::Trainer(tc).Train(&model, &params, train, train);
 
   // A fresh feature window up to 08:00 of the serve day, so calls run at
   // tier kNone unless the hotspot degrades them.
-  const int t_now = 480;
-  auto replay_fresh = [&](auto& sink) {
-    sink.AdvanceTo(serve_day, t_now - fc.window);
-    for (int ts = t_now - fc.window; ts < t_now; ++ts) {
-      data::ReplayMinute(dataset, serve_day, ts, sink);
-    }
-    sink.AdvanceTo(serve_day, t_now);
-  };
-  serving::OnlinePredictor direct(&model, &assembler);
-  replay_fresh(direct.buffer());
-
-  std::vector<int> all_areas(static_cast<size_t>(dataset.num_areas()));
-  for (int a = 0; a < dataset.num_areas(); ++a) {
-    all_areas[static_cast<size_t>(a)] = a;
-  }
+  const std::unique_ptr<bench::ServingProbe> probe =
+      bench::TrainServingProbe(city);
+  serving::OnlinePredictor direct(probe->model.get(), probe->assembler.get());
+  probe->FeedMorning(direct.buffer());
+  const std::vector<int>& all_areas = probe->all_areas;
   store::VersionedModel versions(
-      std::make_shared<store::BorrowedVersion>(&model));
+      std::make_shared<store::BorrowedVersion>(probe->model.get()));
 
   // Calibrate one citywide call for the hotspot budget, after one untimed
   // call has warmed the predictor's projection cache.
@@ -146,8 +112,8 @@ int Main(int argc, char** argv) {
     sc.queue.num_workers = 1;
     sc.queue.capacity = 4;
     sc.queue.watchdog_stuck_us = 0;
-    serving::ShardedPredictor sharded(&versions, &assembler, sc);
-    replay_fresh(sharded);
+    serving::ShardedPredictor sharded(&versions, probe->assembler.get(), sc);
+    probe->FeedMorning(sharded);
 
     hot.shards = shards;
     hot.hot_shard = sharded.ShardOf(all_areas[0]);
@@ -269,7 +235,7 @@ int Main(int argc, char** argv) {
       "\"hot_shed\": %llu, \"hot_deadline_misses\": %llu, "
       "\"sibling_shed\": %llu, \"sibling_deadline_misses\": %llu, "
       "\"fresh_siblings\": %s, \"bounded\": %s},\n",
-      dataset.num_areas(), city_service_us, hot.shards, hot.hot_shard,
+      probe->dataset.num_areas(), city_service_us, hot.shards, hot.hot_shard,
       hot.p50_us, hot.p99_us, hot.p99_bound_us,
       static_cast<unsigned long long>(hot.hot_shed),
       static_cast<unsigned long long>(hot.hot_misses),

@@ -2,213 +2,73 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
-
-#include "util/crc32.h"
+#include <cstddef>
 
 namespace deepsd {
 namespace baselines {
 
 namespace {
 
-constexpr char kMagic[4] = {'D', 'E', 'A', '1'};
-constexpr uint8_t kVersion = 1;
-
-util::Status Corrupt(const char* what) {
-  return util::Status::InvalidArgument(
-      std::string("empirical-average file: ") + what);
-}
-
-// A table of (key, sum, count) rows in key order. Keys are written as a
-// zigzag base followed by strictly-positive deltas (sorted, unique), counts
-// as varints, and sums — which are sums of integer gap counts, hence
-// integral in every real fit — as zigzag varints behind a per-table flag;
-// any non-integral or out-of-range sum drops the whole table back to raw
-// doubles so the round-trip stays bit-exact.
-struct TableRow {
-  int64_t key = 0;
-  double sum = 0;
-  int64_t count = 0;
-};
-
-bool IntegralSum(double sum, int64_t* out) {
-  // Exact-integer doubles up to 2^53 survive the int64 round-trip bitwise.
-  if (!(std::fabs(sum) <= 9007199254740992.0)) return false;
-  const int64_t i = static_cast<int64_t>(sum);
-  if (static_cast<double>(i) != sum) return false;
-  *out = i;
-  return true;
-}
-
-void WriteTable(util::ByteWriter* w, std::vector<TableRow> rows,
-                EmpiricalAverage::Encoding encoding) {
-  std::sort(rows.begin(), rows.end(),
-            [](const TableRow& a, const TableRow& b) { return a.key < b.key; });
-  w->PutVarint64(rows.size());
-  if (encoding == EmpiricalAverage::Encoding::kRaw) {
-    for (const TableRow& r : rows) {
-      w->PutPod<int64_t>(r.key);
-      w->PutPod<double>(r.sum);
-      w->PutPod<int64_t>(r.count);
-    }
-    return;
+/// static_cast<float>(sum / count) per entry, NaN where count is 0.
+std::vector<float> Means(const std::vector<double>& sums,
+                         const std::vector<int>& counts) {
+  std::vector<float> means(sums.size(),
+                           std::numeric_limits<float>::quiet_NaN());
+  for (size_t i = 0; i < sums.size(); ++i) {
+    if (counts[i] > 0) means[i] = static_cast<float>(sums[i] / counts[i]);
   }
-  int64_t scratch = 0;
-  uint8_t sums_integral = 1;
-  for (const TableRow& r : rows) {
-    if (!IntegralSum(r.sum, &scratch)) {
-      sums_integral = 0;
-      break;
-    }
-  }
-  w->PutPod<uint8_t>(sums_integral);
-  int64_t prev = 0;
-  bool first = true;
-  for (const TableRow& r : rows) {
-    if (first) {
-      w->PutZigzag64(r.key);
-      first = false;
-    } else {
-      w->PutVarint64(static_cast<uint64_t>(r.key - prev));
-    }
-    prev = r.key;
-  }
-  for (const TableRow& r : rows) w->PutVarint64(static_cast<uint64_t>(r.count));
-  for (const TableRow& r : rows) {
-    if (sums_integral) {
-      IntegralSum(r.sum, &scratch);
-      w->PutZigzag64(scratch);
-    } else {
-      w->PutPod<double>(r.sum);
-    }
-  }
-}
-
-bool ReadTable(util::ByteReader* r, EmpiricalAverage::Encoding encoding,
-               std::vector<TableRow>* rows) {
-  uint64_t n = 0;
-  if (!r->GetVarint64(&n)) return false;
-  // Each row costs at least 3 bytes compressed (key delta + count + sum)
-  // and 24 raw; reject corrupt counts before allocating.
-  if (n > r->remaining() / 3) return false;
-  rows->assign(static_cast<size_t>(n), TableRow{});
-  if (encoding == EmpiricalAverage::Encoding::kRaw) {
-    for (TableRow& row : *rows) {
-      if (!r->GetPod(&row.key) || !r->GetPod(&row.sum) ||
-          !r->GetPod(&row.count)) {
-        return false;
-      }
-      if (!std::isfinite(row.sum) || row.count < 0) return false;
-    }
-    return true;
-  }
-  uint8_t sums_integral = 0;
-  if (!r->GetPod(&sums_integral) || sums_integral > 1) return false;
-  int64_t prev = 0;
-  for (size_t i = 0; i < rows->size(); ++i) {
-    int64_t key = 0;
-    if (i == 0) {
-      if (!r->GetZigzag64(&key)) return false;
-    } else {
-      uint64_t delta = 0;
-      if (!r->GetVarint64(&delta)) return false;
-      if (delta == 0 ||
-          delta > static_cast<uint64_t>(
-                      std::numeric_limits<int64_t>::max() - prev)) {
-        return false;  // keys must be strictly increasing, no overflow
-      }
-      key = prev + static_cast<int64_t>(delta);
-    }
-    (*rows)[i].key = key;
-    prev = key;
-  }
-  for (TableRow& row : *rows) {
-    uint64_t count = 0;
-    if (!r->GetVarint64(&count)) return false;
-    if (count > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-      return false;
-    }
-    row.count = static_cast<int64_t>(count);
-  }
-  for (TableRow& row : *rows) {
-    if (sums_integral) {
-      int64_t sum = 0;
-      if (!r->GetZigzag64(&sum)) return false;
-      row.sum = static_cast<double>(sum);
-    } else {
-      if (!r->GetPod(&row.sum) || !std::isfinite(row.sum)) return false;
-    }
-  }
-  return true;
+  return means;
 }
 
 }  // namespace
 
 void EmpiricalAverage::Fit(const std::vector<data::PredictionItem>& train_items) {
-  by_area_t_.clear();
-  by_area_.clear();
-  global_ = Accumulator{};
+  int num_areas = 0;
   for (const data::PredictionItem& item : train_items) {
-    Accumulator& a = by_area_t_[Key(item.area, item.t)];
-    a.sum += item.gap;
-    ++a.count;
-    Accumulator& b = by_area_[item.area];
-    b.sum += item.gap;
-    ++b.count;
-    global_.sum += item.gap;
-    ++global_.count;
+    num_areas = std::max(num_areas, item.area + 1);
   }
+  const size_t cells = static_cast<size_t>(num_areas) * data::kMinutesPerDay;
+  // The accumulators live only for this call; the tables keep the means.
+  std::vector<double> cell_sums(cells, 0.0), area_sums(num_areas, 0.0);
+  std::vector<int> cell_counts(cells, 0), area_counts(num_areas, 0);
+  double global_sum = 0;
+  int global_count = 0;
+  for (const data::PredictionItem& item : train_items) {
+    global_sum += item.gap;
+    ++global_count;
+    if (item.area < 0) continue;
+    area_sums[item.area] += item.gap;
+    ++area_counts[item.area];
+    if (item.t < 0 || item.t >= data::kMinutesPerDay) continue;
+    const size_t cell =
+        static_cast<size_t>(item.area) * data::kMinutesPerDay + item.t;
+    cell_sums[cell] += item.gap;
+    ++cell_counts[cell];
+  }
+  area_means_ = Means(area_sums, area_counts);
+  cell_means_ = Means(cell_sums, cell_counts);
+  tables_.num_areas = num_areas;
+  tables_.global_mean =
+      global_count > 0 ? static_cast<float>(global_sum / global_count)
+                       : std::numeric_limits<float>::quiet_NaN();
+  tables_.area_means = area_means_.data();
+  tables_.cell_means = cell_means_.data();
 }
 
 float EmpiricalAverage::Predict(int area, int t) const {
-  auto it = by_area_t_.find(Key(area, t));
-  if (it != by_area_t_.end() && it->second.count > 0) {
-    return static_cast<float>(it->second.sum / it->second.count);
-  }
-  auto it2 = by_area_.find(area);
-  if (it2 != by_area_.end() && it2->second.count > 0) {
-    return static_cast<float>(it2->second.sum / it2->second.count);
-  }
-  return global_.count > 0
-             ? static_cast<float>(global_.sum / global_.count)
-             : 0.0f;
-}
-
-EmpiricalAverage::DenseTables EmpiricalAverage::ToDense(int num_areas) const {
-  if (num_areas < 0) {
-    int64_t max_area = -1;
-    for (const auto& [key, acc] : by_area_t_) {
-      max_area = std::max(max_area, key / data::kMinutesPerDay);
+  // Cell mean, then area mean, then global mean, then 0; NaN marks an
+  // absent entry.
+  if (area >= 0 && area < tables_.num_areas) {
+    if (t >= 0 && t < data::kMinutesPerDay) {
+      const float cell = tables_.cell_means[static_cast<size_t>(area) *
+                                                data::kMinutesPerDay +
+                                            t];
+      if (!std::isnan(cell)) return cell;
     }
-    for (const auto& [area, acc] : by_area_) {
-      max_area = std::max(max_area, static_cast<int64_t>(area));
-    }
-    num_areas = static_cast<int>(max_area + 1);
+    const float area_mean = tables_.area_means[area];
+    if (!std::isnan(area_mean)) return area_mean;
   }
-  DenseTables dense;
-  dense.num_areas = num_areas;
-  const float kAbsent = std::numeric_limits<float>::quiet_NaN();
-  dense.cell_means.assign(
-      static_cast<size_t>(num_areas) * data::kMinutesPerDay, kAbsent);
-  dense.area_means.assign(static_cast<size_t>(num_areas), kAbsent);
-  // Means are materialized with the exact expression Predict() evaluates,
-  // so dense lookups reproduce the hash-table answers bit for bit.
-  for (const auto& [key, acc] : by_area_t_) {
-    const int64_t area = key / data::kMinutesPerDay;
-    if (key < 0 || area >= num_areas || acc.count <= 0) continue;
-    dense.cell_means[static_cast<size_t>(key)] =
-        static_cast<float>(acc.sum / acc.count);
-  }
-  for (const auto& [area, acc] : by_area_) {
-    if (area < 0 || area >= num_areas || acc.count <= 0) continue;
-    dense.area_means[static_cast<size_t>(area)] =
-        static_cast<float>(acc.sum / acc.count);
-  }
-  dense.global_mean = global_.count > 0
-                          ? static_cast<float>(global_.sum / global_.count)
-                          : kAbsent;
-  return dense;
+  return std::isnan(tables_.global_mean) ? 0.0f : tables_.global_mean;
 }
 
 std::vector<float> EmpiricalAverage::Predict(
@@ -219,118 +79,6 @@ std::vector<float> EmpiricalAverage::Predict(
     out.push_back(Predict(item.area, item.t));
   }
   return out;
-}
-
-void EmpiricalAverage::EncodeTo(util::ByteWriter* w,
-                                Encoding encoding) const {
-  w->PutPod<uint8_t>(static_cast<uint8_t>(encoding));
-  w->PutPod<double>(global_.sum);
-  w->PutPod<int64_t>(global_.count);
-  std::vector<TableRow> rows;
-  rows.reserve(by_area_.size());
-  for (const auto& kv : by_area_) {
-    rows.push_back({kv.first, kv.second.sum, kv.second.count});
-  }
-  WriteTable(w, std::move(rows), encoding);
-  rows.clear();
-  rows.reserve(by_area_t_.size());
-  for (const auto& kv : by_area_t_) {
-    rows.push_back({kv.first, kv.second.sum, kv.second.count});
-  }
-  WriteTable(w, std::move(rows), encoding);
-}
-
-util::Status EmpiricalAverage::DecodeFrom(util::ByteReader* r) {
-  uint8_t enc_byte = 0;
-  if (!r->GetPod(&enc_byte) || enc_byte > 1) {
-    return Corrupt("unknown encoding");
-  }
-  const Encoding encoding = static_cast<Encoding>(enc_byte);
-  Accumulator global;
-  if (!r->GetPod(&global.sum)) return Corrupt("truncated header");
-  int64_t global_count = 0;
-  if (!r->GetPod(&global_count) || global_count < 0 ||
-      !std::isfinite(global.sum)) {
-    return Corrupt("bad global accumulator");
-  }
-  global.count = static_cast<int>(
-      std::min<int64_t>(global_count, std::numeric_limits<int>::max()));
-  std::vector<TableRow> area_rows, area_t_rows;
-  if (!ReadTable(r, encoding, &area_rows)) return Corrupt("bad area table");
-  if (!ReadTable(r, encoding, &area_t_rows)) {
-    return Corrupt("bad (area, t) table");
-  }
-  for (const TableRow& row : area_rows) {
-    if (row.key < std::numeric_limits<int>::min() ||
-        row.key > std::numeric_limits<int>::max()) {
-      return Corrupt("area key out of range");
-    }
-  }
-  // Parse fully validated — only now touch the live tables.
-  global_ = global;
-  by_area_.clear();
-  by_area_.reserve(area_rows.size());
-  for (const TableRow& row : area_rows) {
-    by_area_[static_cast<int>(row.key)] = {row.sum,
-                                           static_cast<int>(row.count)};
-  }
-  by_area_t_.clear();
-  by_area_t_.reserve(area_t_rows.size());
-  for (const TableRow& row : area_t_rows) {
-    by_area_t_[row.key] = {row.sum, static_cast<int>(row.count)};
-  }
-  return util::Status::OK();
-}
-
-util::Status EmpiricalAverage::Save(const std::string& path,
-                                    Encoding encoding) const {
-  util::ByteWriter payload;
-  EncodeTo(&payload, encoding);
-  util::ByteWriter file;
-  file.PutRaw(kMagic, sizeof(kMagic));
-  file.PutPod<uint8_t>(kVersion);
-  file.PutPod<uint8_t>(0);  // reserved
-  file.PutPod<uint64_t>(payload.size());
-  file.PutRaw(payload.bytes().data(), payload.size());
-  file.PutPod<uint32_t>(util::Crc32(payload.bytes().data(), payload.size()));
-  return util::AtomicWriteFile(path, file.bytes());
-}
-
-util::Status EmpiricalAverage::Load(const std::string& path) {
-  std::vector<char> bytes;
-  util::Status st = util::ReadFileBytes(path, &bytes);
-  if (!st.ok()) return st;
-  util::ByteReader r(bytes.data(), bytes.size());
-  char magic[4] = {};
-  if (!r.GetRaw(magic, sizeof(magic))) {
-    return util::Status::IoError("empirical-average file truncated: " + path);
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt("bad magic");
-  }
-  uint8_t version = 0, reserved = 0;
-  uint64_t payload_len = 0;
-  if (!r.GetPod(&version) || !r.GetPod(&reserved) || !r.GetPod(&payload_len)) {
-    return util::Status::IoError("empirical-average file truncated: " + path);
-  }
-  if (version != kVersion) return Corrupt("unsupported version");
-  if (payload_len + sizeof(uint32_t) > r.remaining()) {
-    return util::Status::IoError("empirical-average file truncated: " + path);
-  }
-  const char* payload = bytes.data() + (bytes.size() - r.remaining());
-  util::ByteReader pr(payload, static_cast<size_t>(payload_len));
-  r.Skip(static_cast<size_t>(payload_len));
-  uint32_t crc = 0;
-  if (!r.GetPod(&crc) || r.remaining() != 0) {
-    return Corrupt("trailing bytes or missing checksum");
-  }
-  if (crc != util::Crc32(payload, static_cast<size_t>(payload_len))) {
-    return Corrupt("checksum mismatch");
-  }
-  util::Status ds = DecodeFrom(&pr);
-  if (!ds.ok()) return ds;
-  if (pr.remaining() != 0) return Corrupt("payload length mismatch");
-  return util::Status::OK();
 }
 
 }  // namespace baselines

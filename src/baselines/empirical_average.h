@@ -1,96 +1,65 @@
 #ifndef DEEPSD_BASELINES_EMPIRICAL_AVERAGE_H_
 #define DEEPSD_BASELINES_EMPIRICAL_AVERAGE_H_
 
-#include <string>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "data/types.h"
-#include "util/byte_io.h"
-#include "util/status.h"
 
 namespace deepsd {
 namespace baselines {
 
-/// Minimal interface of a per-(area, minute) gap baseline — what serving's
-/// fallback ladder (serving::OnlinePredictor tier 3) actually consumes.
-/// Implemented by the fitted EmpiricalAverage below and by the model
-/// store's zero-copy MappedEmpiricalAverage (store/stored_model.h), so a
-/// predictor can answer from either without caring where the tables live.
-class GapBaseline {
- public:
-  virtual ~GapBaseline() = default;
-  /// Predicted gap for (area, minute-of-day t). Must be thread-safe.
-  virtual float Predict(int area, int t) const = 0;
-};
-
 /// The paper's "Empirical Average" baseline (Sec VI-C): for a query
 /// (area, t) predict the mean gap of the same (area, t) over the training
 /// days. Falls back to the area mean, then the global mean, for unseen
-/// timeslots.
-class EmpiricalAverage : public GapBaseline {
+/// timeslots. Also serving's tier-3 answer (serving::OnlinePredictor).
+///
+/// The baseline is a set of dense mean tables, NaN-padded where no
+/// training sample exists. Fit() computes and owns them; a view
+/// constructed over someone else's tables — the model store's "ea"
+/// section (store/stored_model.h), zero-copy — is served by the same
+/// Predict(). Move-only: a member-wise copy would point at the original's
+/// tables.
+class EmpiricalAverage {
  public:
-  /// On-disk/wire encodings of the fitted tables ("DEA1" format,
-  /// docs/performance.md). Both round-trip bit-exactly.
-  enum class Encoding : uint8_t {
-    /// Raw key/sum/count triples, fixed width.
-    kRaw = 0,
-    /// Keys sorted + delta-varint, counts varint, sums zigzag-varint when
-    /// every sum is integral (gap sums are sums of integer counts, so
-    /// normally all of them) with a raw-double fallback per table.
-    kCompressed = 1,
+  /// The fitted means. Each is static_cast<float>(sum / count) over the
+  /// training gaps; NaN marks an entry with no training sample.
+  struct Tables {
+    int num_areas = 0;
+    /// NaN when nothing was fitted (Predict then answers 0).
+    float global_mean = std::numeric_limits<float>::quiet_NaN();
+    /// [num_areas].
+    const float* area_means = nullptr;
+    /// Row-major [num_areas * kMinutesPerDay].
+    const float* cell_means = nullptr;
   };
 
+  EmpiricalAverage() = default;
+  /// Serves `view` without copying it; the caller keeps its arrays alive
+  /// and unchanged for the baseline's lifetime.
+  explicit EmpiricalAverage(const Tables& view) : tables_(view) {}
+  EmpiricalAverage(EmpiricalAverage&&) = default;
+  EmpiricalAverage& operator=(EmpiricalAverage&&) = default;
+
+  /// Replaces the tables with the means of `train_items`. The area count
+  /// is one past the largest area seen. Items with a negative area, or a
+  /// t outside [0, kMinutesPerDay) for the cell table, count only toward
+  /// the coarser means.
   void Fit(const std::vector<data::PredictionItem>& train_items);
 
-  float Predict(int area, int t) const override;
-  std::vector<float> Predict(const std::vector<data::PredictionItem>& items) const;
+  /// Predicted gap for (area, minute-of-day t). Thread-safe. A t outside
+  /// [0, kMinutesPerDay) falls back to the area mean.
+  float Predict(int area, int t) const;
+  std::vector<float> Predict(
+      const std::vector<data::PredictionItem>& items) const;
 
-  /// Dense snapshot of the fitted tables for the model store's flat,
-  /// mmap-able "ea" section. Means are precomputed exactly as Predict
-  /// computes them — static_cast<float>(sum / count) — and absent slots
-  /// are NaN, so a lookup over the dense form walks the same
-  /// cell → area → global fallback chain bit for bit.
-  struct DenseTables {
-    int num_areas = 0;
-    /// Row-major [num_areas * kMinutesPerDay]; NaN = no training sample.
-    std::vector<float> cell_means;
-    /// [num_areas]; NaN = area never seen.
-    std::vector<float> area_means;
-    /// NaN when nothing was fitted (Predict then answers 0).
-    float global_mean = 0.0f;
-  };
-  /// `num_areas` < 0 derives the area count from the largest fitted key.
-  /// Fitted keys at or past a caller-provided `num_areas` are dropped.
-  DenseTables ToDense(int num_areas = -1) const;
-
-  /// Serializes the fitted tables (encoding byte + payload, no framing).
-  /// Deterministic: equal fitted state yields equal bytes.
-  void EncodeTo(util::ByteWriter* w, Encoding encoding) const;
-  /// Inverse of EncodeTo; typed InvalidArgument on malformed bytes.
-  util::Status DecodeFrom(util::ByteReader* r);
-
-  /// Atomic, CRC-sealed file round-trip:
-  /// "DEA1" | u8 version | u8 reserved | u64 payload_len | payload | crc32.
-  /// Load detects truncation (IoError) and corruption (InvalidArgument)
-  /// before touching the tables.
-  util::Status Save(const std::string& path,
-                    Encoding encoding = Encoding::kCompressed) const;
-  util::Status Load(const std::string& path);
+  const Tables& tables() const { return tables_; }
 
  private:
-  struct Accumulator {
-    double sum = 0;
-    int count = 0;
-  };
-
-  static int64_t Key(int area, int t) {
-    return static_cast<int64_t>(area) * data::kMinutesPerDay + t;
-  }
-
-  std::unordered_map<int64_t, Accumulator> by_area_t_;
-  std::unordered_map<int, Accumulator> by_area_;
-  Accumulator global_;
+  Tables tables_;
+  /// Storage behind tables_ after Fit(); empty for a view.
+  std::vector<float> area_means_;
+  std::vector<float> cell_means_;
 };
 
 }  // namespace baselines

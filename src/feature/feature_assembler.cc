@@ -128,18 +128,6 @@ std::vector<float> FeatureAssembler::HistoricalSd(int area, int week_id,
   return h;
 }
 
-std::vector<float> FeatureAssembler::HistoricalVectors(int kind, int area,
-                                                       int t) const {
-  DEEPSD_CHECK(kind >= 0 && kind < 3);
-  std::vector<float> out(data::kDaysPerWeek * 2 *
-                         static_cast<size_t>(config_.window));
-  float* dst = out.data();
-  // day = -1 is outside the reference period, so no exclusion applies.
-  History(area, /*day=*/-1, t, kind == 0 ? dst : nullptr,
-          kind == 1 ? dst : nullptr, kind == 2 ? dst : nullptr);
-  return out;
-}
-
 void FeatureAssembler::History(int area, int day, int t, float* sd, float* lc,
                                float* wt) const {
   const int L = config_.window;
@@ -245,12 +233,6 @@ void FeatureAssembler::History(int area, int day, int t, float* sd, float* lc,
       h[k] = (h[k] * n - o[k]) / (n - 1.0f);
     }
   }
-}
-
-std::vector<float> FeatureAssembler::NormalizeCounts(
-    std::vector<float> counts) const {
-  NormalizeCounts(counts.data(), counts.size());
-  return counts;
 }
 
 void FeatureAssembler::NormalizeCounts(float* counts, size_t n) const {

@@ -109,13 +109,6 @@ class FeatureAssembler {
   /// of the day (t + 10 near midnight) count 0, as in SupplyDemandVector.
   std::vector<float> HistoricalSd(int area, int week_id, int t) const;
 
-  /// All seven historical vectors (w-major, 7×2L) for one signal at
-  /// (area, t), without any own-day exclusion — the form a live predictor
-  /// needs when serving days outside the reference period.
-  /// `kind`: 0 = supply-demand, 1 = last-call, 2 = waiting-time. Values are
-  /// raw counts; apply the configured normalization via NormalizeCounts.
-  std::vector<float> HistoricalVectors(int kind, int area, int t) const;
-
   /// History of the three signals at (area, t), written in place: each
   /// non-null pointer of `sd`, `lc`, `wt` receives that signal's seven
   /// per-weekday raw-count vectors (w-major, 7×2L floats). A `day` inside
@@ -129,10 +122,9 @@ class FeatureAssembler {
   void History(int area, int day, int t, float* sd, float* lc,
                float* wt) const;
 
-  /// Applies this assembler's count normalization (identity when
-  /// config().normalize is false) — for callers assembling live features.
-  std::vector<float> NormalizeCounts(std::vector<float> counts) const;
-  /// In-place form over `n` counts.
+  /// Applies this assembler's count normalization in place to `n` counts
+  /// (identity when config().normalize is false) — for callers assembling
+  /// live features.
   void NormalizeCounts(float* counts, size_t n) const;
 
   /// Reference-period standardization statistics of the environment reals,

@@ -207,35 +207,6 @@ NodeId Graph::Sub(NodeId a, NodeId b) {
   return id;
 }
 
-NodeId Graph::Mul(NodeId a, NodeId b) {
-  const Tensor& av = value(a);
-  const Tensor& bv = value(b);
-  DEEPSD_CHECK(av.SameShape(bv));
-  Tensor out = AcquireValueSlot(av.rows(), av.cols(), /*zeroed=*/false);
-  const float* ad = av.data();
-  const float* bd = bv.data();
-  float* o = out.data();
-  for (size_t i = 0; i < out.size(); ++i) o[i] = ad[i] * bd[i];
-  NodeId id = AddNode(Op::kMul, std::move(out));
-  Node& n = node(id);
-  n.a = a;
-  n.b = b;
-  return id;
-}
-
-NodeId Graph::Scale(NodeId a, float s) {
-  const Tensor& av = value(a);
-  Tensor out = AcquireValueSlot(av.rows(), av.cols(), /*zeroed=*/false);
-  const float* ad = av.data();
-  float* o = out.data();
-  for (size_t i = 0; i < out.size(); ++i) o[i] = ad[i] * s;
-  NodeId id = AddNode(Op::kScale, std::move(out));
-  Node& n = node(id);
-  n.a = a;
-  n.scalar = s;
-  return id;
-}
-
 NodeId Graph::ConcatImpl(const NodeId* parts, size_t count) {
   DEEPSD_CHECK(count > 0);
   int rows = value(parts[0]).rows();
@@ -264,20 +235,6 @@ NodeId Graph::Concat(const std::vector<NodeId>& parts) {
 
 NodeId Graph::Concat(std::initializer_list<NodeId> parts) {
   return ConcatImpl(parts.begin(), parts.size());
-}
-
-NodeId Graph::SliceCols(NodeId x, int begin, int end) {
-  const Tensor& xv = value(x);
-  DEEPSD_CHECK(begin >= 0 && end <= xv.cols() && begin < end);
-  Tensor out = AcquireValueSlot(xv.rows(), end - begin, /*zeroed=*/false);
-  for (int r = 0; r < xv.rows(); ++r) {
-    std::copy(xv.row(r) + begin, xv.row(r) + end, out.row(r));
-  }
-  NodeId id = AddNode(Op::kSliceCols, std::move(out));
-  Node& n = node(id);
-  n.a = x;
-  n.i0 = begin;
-  return id;
 }
 
 NodeId Graph::LeakyRelu(NodeId x, float alpha) {
@@ -412,26 +369,6 @@ NodeId Graph::MseLoss(NodeId pred, const Tensor& target, double denom) {
   return id;
 }
 
-NodeId Graph::MaeLoss(NodeId pred, const Tensor& target) {
-  const Tensor& pv = value(pred);
-  DEEPSD_CHECK(pv.SameShape(target));
-  const float* pd = pv.data();
-  const float* td = target.data();
-  double sum = 0.0;
-  for (size_t i = 0; i < pv.size(); ++i) {
-    sum += std::abs(static_cast<double>(pd[i]) - td[i]);
-  }
-  Tensor aux = AcquireAuxSlot(target.rows(), target.cols(), /*zeroed=*/false);
-  std::copy(target.data(), target.data() + target.size(), aux.data());
-  Tensor out = AcquireValueSlot(1, 1, /*zeroed=*/false);
-  out.at(0, 0) = static_cast<float>(sum / static_cast<double>(pv.size()));
-  NodeId id = AddNode(Op::kMaeLoss, std::move(out));
-  Node& n = node(id);
-  n.a = pred;
-  n.aux = std::move(aux);
-  return id;
-}
-
 void Graph::BackwardNode(Node& n) {
   switch (n.op) {
     case Op::kInput:
@@ -499,24 +436,6 @@ void Graph::BackwardNode(Node& n) {
       }
       break;
     }
-    case Op::kMul: {
-      const float* dy = n.grad.data();
-      float* da = node(n.a).grad.data();
-      float* db = node(n.b).grad.data();
-      const float* av = value(n.a).data();
-      const float* bv = value(n.b).data();
-      for (size_t i = 0; i < n.grad.size(); ++i) {
-        da[i] += dy[i] * bv[i];
-        db[i] += dy[i] * av[i];
-      }
-      break;
-    }
-    case Op::kScale: {
-      const float* dy = n.grad.data();
-      float* da = node(n.a).grad.data();
-      for (size_t i = 0; i < n.grad.size(); ++i) da[i] += dy[i] * n.scalar;
-      break;
-    }
     case Op::kConcat: {
       const Tensor& dy = n.grad;
       int offset = 0;
@@ -528,16 +447,6 @@ void Graph::BackwardNode(Node& n) {
           for (int c = 0; c < dp.cols(); ++c) dst[c] += src[c];
         }
         offset += dp.cols();
-      }
-      break;
-    }
-    case Op::kSliceCols: {
-      const Tensor& dy = n.grad;
-      Tensor& dx = node(n.a).grad;
-      for (int r = 0; r < dy.rows(); ++r) {
-        const float* src = dy.row(r);
-        float* dst = dx.row(r) + n.i0;
-        for (int c = 0; c < dy.cols(); ++c) dst[c] += src[c];
       }
       break;
     }
@@ -619,19 +528,6 @@ void Graph::BackwardNode(Node& n) {
       float scale = 2.0f / static_cast<float>(n.denom);
       for (size_t i = 0; i < pv.size(); ++i) {
         dp[i] += dy * scale * (pd[i] - td[i]);
-      }
-      break;
-    }
-    case Op::kMaeLoss: {
-      float dy = n.grad.at(0, 0);
-      const Tensor& pv = node(n.a).value;
-      const float* pd = pv.data();
-      const float* td = n.aux.data();
-      float* dp = node(n.a).grad.data();
-      float scale = 1.0f / static_cast<float>(pv.size());
-      for (size_t i = 0; i < pv.size(); ++i) {
-        float d = pd[i] - td[i];
-        dp[i] += dy * scale * (d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f));
       }
       break;
     }

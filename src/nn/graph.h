@@ -41,9 +41,9 @@ using NodeId = int;
 /// and a view owns nothing the slot or the arena could recycle.
 ///
 /// This is deliberately the smallest op set that expresses DeepSD: dense
-/// matmul + bias, the fused FC→LReL unit, concatenation, slicing,
-/// element-wise arithmetic, LReL, row softmax, dropout, embedding lookup,
-/// a grouped weighted sum (for E = Σ_w p(w)·H(w)) and MSE/MAE losses.
+/// matmul + bias, the fused FC→LReL unit, concatenation, element-wise
+/// add/subtract, LReL, row softmax, dropout, embedding lookup, a grouped
+/// weighted sum (for E = Σ_w p(w)·H(w)) and the MSE loss.
 class Graph {
  public:
   /// Node slots reserved at construction, so building the tape does not
@@ -108,13 +108,9 @@ class Graph {
   /// Element-wise; shapes must match.
   NodeId Add(NodeId a, NodeId b);
   NodeId Sub(NodeId a, NodeId b);
-  NodeId Mul(NodeId a, NodeId b);
-  NodeId Scale(NodeId a, float s);
   /// Column-wise concatenation of nodes with equal batch size.
   NodeId Concat(const std::vector<NodeId>& parts);
   NodeId Concat(std::initializer_list<NodeId> parts);
-  /// Columns [begin, end) of x.
-  NodeId SliceCols(NodeId x, int begin, int end);
   /// Leaky rectified linear: max(alpha*x, x). Paper uses alpha = 0.001.
   NodeId LeakyRelu(NodeId x, float alpha = 0.001f);
   /// Row-wise softmax.
@@ -136,8 +132,6 @@ class Graph {
   /// 2·(pred−target)/denom exactly as in the unsharded mean, and the shard
   /// losses sum to the batch loss.
   NodeId MseLoss(NodeId pred, const Tensor& target, double denom);
-  /// Mean absolute error (for evaluation; gradient is sign-based).
-  NodeId MaeLoss(NodeId pred, const Tensor& target);
 
   const Tensor& value(NodeId id) const {
     return nodes_[static_cast<size_t>(id)].value;
@@ -171,17 +165,13 @@ class Graph {
     kLinearLRel,
     kAdd,
     kSub,
-    kMul,
-    kScale,
     kConcat,
-    kSliceCols,
     kLeakyRelu,
     kSoftmax,
     kDropout,
     kEmbed,
     kGroupWeightedSum,
     kMseLoss,
-    kMaeLoss,
   };
 
   struct Node {
@@ -192,9 +182,9 @@ class Graph {
     Tensor aux;
     Parameter* param = nullptr;  // Param leaf / Embed table
     NodeId a = -1, b = -1, c = -1;
-    float scalar = 0.0f;  // LReL alpha / Scale factor
+    float scalar = 0.0f;  // LReL alpha
     double denom = 0.0;   // loss denominator
-    int i0 = 0, i1 = 0;   // SliceCols begin / GroupWeightedSum {groups, k}
+    int i0 = 0, i1 = 0;   // GroupWeightedSum {groups, k}
     std::vector<NodeId> inputs;  // Concat operands (capacity reused)
     std::vector<int> ids;        // Embed ids (capacity reused)
   };

@@ -59,7 +59,7 @@ OnlinePredictor::Resolved OnlinePredictor::Resolve(
     *own = versions_->Acquire();
     pinned = own->pinned();
   }
-  const baselines::GapBaseline* vb = pinned.version->baseline();
+  const baselines::EmpiricalAverage* vb = pinned.version->baseline();
   return {pinned, &pinned.version->model(), vb != nullptr ? vb : baseline_};
 }
 
@@ -226,7 +226,7 @@ void OnlinePredictor::FillRows(const int* areas, const uint32_t* index,
 std::vector<float> OnlinePredictor::CheapGaps(
     const std::vector<int>& area_ids, store::PinnedModel pinned) const {
   store::VersionedModel::Ref own;
-  const baselines::GapBaseline* baseline = Resolve(pinned, &own).baseline;
+  const baselines::EmpiricalAverage* baseline = Resolve(pinned, &own).baseline;
   std::vector<float> gaps;
   gaps.reserve(area_ids.size());
   const int t = buffer_.minute();

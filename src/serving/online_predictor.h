@@ -148,7 +148,7 @@ class OnlinePredictor {
   /// predictor and be Fit on the same training period as `history`. The
   /// baseline packaged with the pinned model version wins; this one is
   /// used only when the version ships none.
-  void set_baseline(const baselines::GapBaseline* baseline) {
+  void set_baseline(const baselines::EmpiricalAverage* baseline) {
     baseline_ = baseline;
   }
 
@@ -215,7 +215,7 @@ class OnlinePredictor {
   struct Resolved {
     store::PinnedModel pinned;
     const core::DeepSDModel* model = nullptr;
-    const baselines::GapBaseline* baseline = nullptr;
+    const baselines::EmpiricalAverage* baseline = nullptr;
   };
   /// Resolves `pinned`, first pinning the current version into `own` when
   /// it is empty. The baseline is the version's, else set_baseline's.
@@ -307,7 +307,7 @@ class OnlinePredictor {
   std::unique_ptr<store::VersionedModel> owned_versions_;
   store::VersionedModel* versions_;
   const feature::FeatureAssembler* history_;
-  const baselines::GapBaseline* baseline_ = nullptr;
+  const baselines::EmpiricalAverage* baseline_ = nullptr;
   FallbackConfig fallback_;
   std::atomic<PredictionObserver*> observer_{nullptr};
   OrderStreamBuffer buffer_;

@@ -371,48 +371,6 @@ void OrderStreamBuffer::Snapshot::LastCallWaitingTime(size_t i, float* lc,
   }
 }
 
-std::vector<float> OrderStreamBuffer::SupplyDemandVector(int area) const {
-  Snapshot snap;
-  TakeSnapshot(&area, 1, -1, -1, &snap);
-  std::vector<float> v(2 * static_cast<size_t>(window_));
-  snap.SupplyDemand(0, v.data());
-  return v;
-}
-
-std::vector<float> OrderStreamBuffer::LastCallVector(int area) const {
-  Snapshot snap;
-  TakeSnapshot(&area, 1, -1, -1, &snap);
-  std::vector<float> v(2 * static_cast<size_t>(window_));
-  snap.LastCallWaitingTime(0, v.data(), nullptr);
-  return v;
-}
-
-std::vector<float> OrderStreamBuffer::WaitingTimeVector(int area) const {
-  Snapshot snap;
-  TakeSnapshot(&area, 1, -1, -1, &snap);
-  std::vector<float> v(2 * static_cast<size_t>(window_));
-  snap.LastCallWaitingTime(0, nullptr, v.data());
-  return v;
-}
-
-std::vector<int> OrderStreamBuffer::WeatherTypes() const {
-  Snapshot snap;
-  TakeSnapshot(nullptr, 0, -1, -1, &snap);
-  return snap.weather_types;
-}
-
-std::vector<float> OrderStreamBuffer::WeatherReals() const {
-  Snapshot snap;
-  TakeSnapshot(nullptr, 0, -1, -1, &snap);
-  return snap.weather_reals;
-}
-
-std::vector<float> OrderStreamBuffer::TrafficVector(int area) const {
-  Snapshot snap;
-  TakeSnapshot(&area, 1, -1, -1, &snap);
-  return snap.traffic;
-}
-
 size_t OrderStreamBuffer::buffered_orders() const {
   std::lock_guard<std::mutex> lock(mu_);
   return BufferedOrdersLocked();

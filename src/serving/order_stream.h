@@ -47,12 +47,12 @@ class StreamObserver {
 /// time). The buffer also tracks the freshness of each feed so the
 /// serving layer can decide when to degrade (docs/robustness.md).
 ///
-/// Thread safety: every mutator (AdvanceTo / Add*) and every snapshot
-/// reader (the *Vector / Weather* accessors, buffered_orders) takes an
-/// internal mutex, so ingestion and concurrent prediction callers may race
-/// freely; each vector is a consistent snapshot of the buffer at some
-/// point between the caller's surrounding operations. The clock accessors
-/// (now_abs / day / minute) are lock-free atomic reads.
+/// Thread safety: every mutator (AdvanceTo / Add*) and every reader
+/// (TakeSnapshot, buffered_orders) takes an internal mutex, so ingestion
+/// and concurrent prediction callers may race freely; each snapshot is a
+/// consistent copy of the buffer at some point between the caller's
+/// surrounding operations. The clock accessors (now_abs / day / minute)
+/// are lock-free atomic reads.
 class OrderStreamBuffer {
  public:
   /// `window` is the look-back L in minutes (paper: 20).
@@ -100,21 +100,6 @@ class OrderStreamBuffer {
     return rejected_.load(std::memory_order_relaxed);
   }
 
-  /// Real-time supply-demand vector over [now-L, now): 2L raw counts.
-  std::vector<float> SupplyDemandVector(int area) const;
-  /// Real-time last-call vector (Def. 6 semantics), 2L raw counts.
-  std::vector<float> LastCallVector(int area) const;
-  /// Real-time waiting-time vector (Def. 7 semantics), 2L raw counts.
-  std::vector<float> WaitingTimeVector(int area) const;
-
-  /// Weather-type ids at lags 1..L (most recent known record per lag; lags
-  /// with no data yet return type 0).
-  std::vector<int> WeatherTypes() const;
-  /// Temperatures then PM2.5 at lags 1..L (raw units).
-  std::vector<float> WeatherReals() const;
-  /// Traffic level counts at lags 1..L (4L raw values).
-  std::vector<float> TrafficVector(int area) const;
-
   /// Number of buffered orders (diagnostics).
   size_t buffered_orders() const;
 
@@ -129,9 +114,8 @@ class OrderStreamBuffer {
   /// One consistent copy of everything a prediction call reads from the
   /// buffer, for a list of areas: the state behind their real-time vectors
   /// plus the citywide weather. Taken under a single lock; its accessors
-  /// then run lock-free and give exactly what the per-area accessors above
-  /// would have given at that instant. Reuse one snapshot per thread to
-  /// keep repeated calls allocation-free.
+  /// then run lock-free. Reuse one snapshot per thread to keep repeated
+  /// calls allocation-free.
   struct Snapshot {
     int64_t now_abs = 0;
     int window = 0;
@@ -139,10 +123,10 @@ class OrderStreamBuffer {
     /// call_begin[i+1]), ts ascending and in arrival order within a minute.
     std::vector<Call> calls;
     std::vector<size_t> call_begin;
-    /// 4L raw traffic counts per area (the TrafficVector layout).
+    /// Per area, the traffic level counts at lags 1..L (4L raw values).
     std::vector<float> traffic;
-    /// L weather-type ids and 2L raw reals (the WeatherTypes/WeatherReals
-    /// layouts).
+    /// Weather-type ids at lags 1..L (lags with no record hold type 0),
+    /// then temperatures followed by PM2.5 at lags 1..L (2L raw reals).
     std::vector<int> weather_types;
     std::vector<float> weather_reals;
 
@@ -152,10 +136,12 @@ class OrderStreamBuffer {
     int minute() const {
       return static_cast<int>(now_abs % data::kMinutesPerDay);
     }
-    /// 2L supply-demand counts of the i-th area into `out`.
+    /// The i-th area's real-time supply-demand vector over [now-L, now)
+    /// into `out`: 2L raw counts.
     void SupplyDemand(size_t i, float* out) const;
-    /// 2L last-call and 2L waiting-time counts of the i-th area from one
-    /// pass over its calls; either pointer may be null.
+    /// The i-th area's last-call (Def. 6) and waiting-time (Def. 7)
+    /// vectors, 2L raw counts each, from one pass over its calls; either
+    /// pointer may be null.
     void LastCallWaitingTime(size_t i, float* lc, float* wt) const;
     /// The i-th area's 4L traffic counts.
     const float* Traffic(size_t i) const {
@@ -169,7 +155,7 @@ class OrderStreamBuffer {
   /// minutes: a lag with no record of its own is filled from the feed's
   /// most recent accepted record while that is at most this much older
   /// than the lag (tier-1 degradation, docs/robustness.md). A negative
-  /// horizon holds nothing, which is what the accessors above return.
+  /// horizon holds nothing.
   void TakeSnapshot(const int* areas, size_t n, int weather_hold,
                     int traffic_hold, Snapshot* out) const;
 

@@ -54,7 +54,7 @@ ServingQueue& ShardedPredictor::shard_queue(int shard) {
 }
 
 void ShardedPredictor::set_baseline(
-    const baselines::GapBaseline* baseline) {
+    const baselines::EmpiricalAverage* baseline) {
   for (Shard& shard : shards_) shard.predictor->set_baseline(baseline);
 }
 

@@ -184,7 +184,7 @@ class ShardedPredictor {
   ServingQueue& shard_queue(int shard);
 
   /// Attaches the last-resort baseline to every shard replica.
-  void set_baseline(const baselines::GapBaseline* baseline);
+  void set_baseline(const baselines::EmpiricalAverage* baseline);
 
   /// Publishes a new model version (see OnlinePredictor::SwapModel):
   /// in-flight city calls finish on the version they pinned, later calls

@@ -28,7 +28,7 @@ util::Status PackModelArtifact(const core::DeepSDModel& model,
   writer.AddSection(kSectionParamsBlob, std::move(blob));
   if (ea != nullptr) {
     writer.AddSection(kSectionEa,
-                      EncodeEaSection(ea->ToDense(model.config().num_areas)));
+                      EncodeEaSection(*ea, model.config().num_areas));
   }
   return writer.WriteFile(path);
 }

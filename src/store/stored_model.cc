@@ -1,7 +1,9 @@
 #include "store/stored_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 
 #include "data/types.h"
@@ -109,34 +111,39 @@ util::Status DecodeManifest(const char* data, size_t size, Manifest* out) {
   return util::Status::OK();
 }
 
-std::vector<char> EncodeEaSection(
-    const baselines::EmpiricalAverage::DenseTables& tables) {
-  DEEPSD_CHECK(tables.num_areas >= 0);
-  DEEPSD_CHECK(tables.area_means.size() ==
-               static_cast<size_t>(tables.num_areas));
-  DEEPSD_CHECK(tables.cell_means.size() ==
-               static_cast<size_t>(tables.num_areas) * data::kMinutesPerDay);
+std::vector<char> EncodeEaSection(const baselines::EmpiricalAverage& ea,
+                                  int num_areas) {
+  DEEPSD_CHECK(num_areas >= 0);
+  const baselines::EmpiricalAverage::Tables& t = ea.tables();
+  const size_t slots = data::kMinutesPerDay;
+  const size_t areas = static_cast<size_t>(num_areas);
+  const size_t fitted = std::min<size_t>(areas, t.num_areas);
   EaSectionHeader header;
-  header.num_areas = static_cast<uint32_t>(tables.num_areas);
-  header.slots = static_cast<uint32_t>(data::kMinutesPerDay);
-  header.global_mean = tables.global_mean;
+  header.num_areas = static_cast<uint32_t>(num_areas);
+  header.slots = static_cast<uint32_t>(slots);
+  header.global_mean = t.global_mean;
   header.flags = 0;
-  std::vector<char> out;
-  out.reserve(sizeof(header) +
-              (tables.area_means.size() + tables.cell_means.size()) *
-                  sizeof(float));
-  const char* h = reinterpret_cast<const char*>(&header);
-  out.insert(out.end(), h, h + sizeof(header));
-  const char* a = reinterpret_cast<const char*>(tables.area_means.data());
-  out.insert(out.end(), a, a + tables.area_means.size() * sizeof(float));
-  const char* c = reinterpret_cast<const char*>(tables.cell_means.data());
-  out.insert(out.end(), c, c + tables.cell_means.size() * sizeof(float));
+  std::vector<char> out(sizeof(header) +
+                        (areas + areas * slots) * sizeof(float));
+  char* dst = out.data();
+  std::memcpy(dst, &header, sizeof(header));
+  dst += sizeof(header);
+  // The first `n` of `total` floats come from `src`; the rest are NaN.
+  auto put = [&dst](const float* src, size_t n, size_t total) {
+    if (n > 0) std::memcpy(dst, src, n * sizeof(float));
+    const float absent = std::numeric_limits<float>::quiet_NaN();
+    for (size_t i = n; i < total; ++i) {
+      std::memcpy(dst + i * sizeof(float), &absent, sizeof(float));
+    }
+    dst += total * sizeof(float);
+  };
+  put(t.area_means, fitted, areas);
+  put(t.cell_means, fitted * slots, areas * slots);
   return out;
 }
 
-util::Status MappedEmpiricalAverage::Create(
-    const char* data, size_t size,
-    std::unique_ptr<MappedEmpiricalAverage>* out) {
+util::Status DecodeEaSection(const char* data, size_t size,
+                             baselines::EmpiricalAverage* out) {
   EaSectionHeader header;
   if (size < sizeof(header)) return Malformed("ea section truncated");
   std::memcpy(&header, data, sizeof(header));
@@ -155,30 +162,15 @@ util::Status MappedEmpiricalAverage::Create(
         "ea section size %zu disagrees with its header (expected %llu)",
         size, static_cast<unsigned long long>(expected)));
   }
-  std::unique_ptr<MappedEmpiricalAverage> ea(new MappedEmpiricalAverage());
-  ea->header_ = header;
+  baselines::EmpiricalAverage::Tables view;
+  view.num_areas = static_cast<int>(header.num_areas);
+  view.global_mean = header.global_mean;
   // Sections are page-aligned in the file and the header is 16 bytes, so
   // these float pointers are aligned.
-  ea->area_means_ = reinterpret_cast<const float*>(data + sizeof(header));
-  ea->cell_means_ = ea->area_means_ + header.num_areas;
-  *out = std::move(ea);
+  view.area_means = reinterpret_cast<const float*>(data + sizeof(header));
+  view.cell_means = view.area_means + header.num_areas;
+  *out = baselines::EmpiricalAverage(view);
   return util::Status::OK();
-}
-
-float MappedEmpiricalAverage::Predict(int area, int t) const {
-  // Same fallback chain as EmpiricalAverage::Predict: cell mean, then area
-  // mean, then global mean, then 0. NaN marks an absent table entry.
-  if (area >= 0 && area < static_cast<int>(header_.num_areas)) {
-    if (t >= 0 && t < static_cast<int>(header_.slots)) {
-      const float cell =
-          cell_means_[static_cast<size_t>(area) * header_.slots + t];
-      if (!std::isnan(cell)) return cell;
-    }
-    const float area_mean = area_means_[area];
-    if (!std::isnan(area_mean)) return area_mean;
-  }
-  if (!std::isnan(header_.global_mean)) return header_.global_mean;
-  return 0.0f;
 }
 
 bool ParseParamEncoding(const std::string& name, ParamEncoding* out) {
@@ -467,8 +459,8 @@ util::Status StoredModel::Bind() {
     const char* ea_bytes = nullptr;
     size_t ea_size = 0;
     DEEPSD_RETURN_IF_ERROR(store_->Section(kSectionEa, &ea_bytes, &ea_size));
-    DEEPSD_RETURN_IF_ERROR(
-        MappedEmpiricalAverage::Create(ea_bytes, ea_size, &ea_));
+    ea_ = std::make_unique<baselines::EmpiricalAverage>();
+    DEEPSD_RETURN_IF_ERROR(DecodeEaSection(ea_bytes, ea_size, ea_.get()));
   }
   return util::Status::OK();
 }

@@ -33,7 +33,7 @@ util::Status DecodeManifest(const char* data, size_t size, Manifest* out);
 /// "ea" section layout: this fixed header followed by
 /// `float area_means[num_areas]` then
 /// `float cell_means[num_areas * slots]` (row-major by area). Absent
-/// entries are NaN, exactly as EmpiricalAverage::ToDense emits them.
+/// entries are NaN, as in baselines::EmpiricalAverage::Tables.
 struct EaSectionHeader {
   uint32_t num_areas = 0;
   uint32_t slots = 0;        ///< minutes per day (1440)
@@ -42,31 +42,19 @@ struct EaSectionHeader {
 };
 static_assert(sizeof(EaSectionHeader) == 16, "ea header layout is frozen");
 
-std::vector<char> EncodeEaSection(
-    const baselines::EmpiricalAverage::DenseTables& tables);
+/// Encodes `ea`'s tables as an "ea" section of exactly `num_areas` areas:
+/// fitted areas at or past `num_areas` are dropped, and areas past the
+/// fitted range are NaN.
+std::vector<char> EncodeEaSection(const baselines::EmpiricalAverage& ea,
+                                  int num_areas);
 
-/// Zero-copy tier-3 baseline over an artifact's "ea" section: Predict
-/// walks the same cell → area → global fallback chain as the fitted
-/// EmpiricalAverage, bit for bit, but the tables are the mapping itself —
-/// N replicas share one copy and open costs no parse.
-class MappedEmpiricalAverage : public baselines::GapBaseline {
- public:
-  /// Validates the section bytes (typed error on any malformation) and
-  /// points the instance at them. The caller keeps `data` alive — in
-  /// practice the StoredModel that owns the mapping.
-  static util::Status Create(const char* data, size_t size,
-                             std::unique_ptr<MappedEmpiricalAverage>* out);
-
-  float Predict(int area, int t) const override;
-  int num_areas() const { return static_cast<int>(header_.num_areas); }
-
- private:
-  MappedEmpiricalAverage() = default;
-
-  EaSectionHeader header_;
-  const float* area_means_ = nullptr;
-  const float* cell_means_ = nullptr;
-};
+/// Validates "ea" section bytes (typed InvalidArgument on any
+/// malformation) and points `*out` at them: a zero-copy baseline whose
+/// tables are the section itself, so N replicas share one copy and open
+/// costs no parse. The caller keeps `data` alive — in practice the
+/// StoredModel that owns the mapping.
+util::Status DecodeEaSection(const char* data, size_t size,
+                             baselines::EmpiricalAverage* out);
 
 /// One tensor's entry in the "params.idx" section. Offsets are relative to
 /// the start of the "params.bin" section payload.
@@ -127,14 +115,14 @@ util::Status DecodeParamsIndex(const char* data, size_t size,
 /// the artifact does not cover is a FailedPrecondition naming it — a
 /// stored model never serves silent random initialization. When the
 /// artifact carries an "ea" section, baseline() is a zero-copy
-/// MappedEmpiricalAverage over it.
+/// EmpiricalAverage view of it.
 class StoredModel : public ModelVersion {
  public:
   static util::Status Open(const std::string& path,
                            std::shared_ptr<const StoredModel>* out);
 
   const core::DeepSDModel& model() const override { return *model_; }
-  const baselines::GapBaseline* baseline() const override {
+  const baselines::EmpiricalAverage* baseline() const override {
     return ea_.get();
   }
   std::string version_id() const override { return manifest_.version_id; }
@@ -153,7 +141,7 @@ class StoredModel : public ModelVersion {
   Manifest manifest_;
   std::unique_ptr<nn::ParameterStore> params_;
   std::unique_ptr<core::DeepSDModel> model_;
-  std::unique_ptr<MappedEmpiricalAverage> ea_;
+  std::unique_ptr<baselines::EmpiricalAverage> ea_;
 };
 
 }  // namespace store

@@ -28,7 +28,7 @@ class ModelVersion {
   /// The tier-3 baseline packaged with this version; nullptr when the
   /// version ships without one (the predictor then falls back to its
   /// statically attached baseline, or the empirical block).
-  virtual const baselines::GapBaseline* baseline() const = 0;
+  virtual const baselines::EmpiricalAverage* baseline() const = 0;
   /// Human-readable version tag (artifact manifest version_id).
   virtual std::string version_id() const = 0;
 };
@@ -40,7 +40,9 @@ class BorrowedVersion : public ModelVersion {
  public:
   explicit BorrowedVersion(const core::DeepSDModel* model);
   const core::DeepSDModel& model() const override { return *model_; }
-  const baselines::GapBaseline* baseline() const override { return nullptr; }
+  const baselines::EmpiricalAverage* baseline() const override {
+    return nullptr;
+  }
   std::string version_id() const override { return "in-memory"; }
 
  private:

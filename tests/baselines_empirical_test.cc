@@ -1,10 +1,6 @@
 #include "src/baselines/empirical_average.h"
 
-#include <cstring>
-
 #include <gtest/gtest.h>
-
-#include "util/byte_io.h"
 
 namespace deepsd {
 namespace baselines {
@@ -64,136 +60,15 @@ TEST(EmpiricalAverageTest, RefitClearsOldState) {
   EXPECT_FLOAT_EQ(avg.Predict(0, 100), 2.0f);
 }
 
-// --- DEA1 serialization ---------------------------------------------------
-
-std::vector<data::PredictionItem> SerializationFixture() {
-  std::vector<data::PredictionItem> items;
-  for (int area = 0; area < 5; ++area) {
-    for (int day = 0; day < 4; ++day) {
-      for (int t = 0; t < 144; t += 7) {
-        items.push_back(Item(area, day, t, static_cast<float>((area * 31 + day * 7 + t) % 13)));
-      }
-    }
-  }
-  return items;
-}
-
-bool SamePredictions(const EmpiricalAverage& a, const EmpiricalAverage& b) {
-  for (int area = 0; area < 6; ++area) {  // incl. an unseen area (fallback)
-    for (int t = 0; t < 200; ++t) {
-      const float pa = a.Predict(area, t), pb = b.Predict(area, t);
-      if (std::memcmp(&pa, &pb, sizeof(float)) != 0) return false;
-    }
-  }
-  return true;
-}
-
-TEST(EmpiricalAverageSerializationTest, BothEncodingsRoundTripBitExact) {
+TEST(EmpiricalAverageTest, MinuteOutsideTheDayFallsToAreaMean) {
+  // Neighbouring areas' cells sit next to each other in the tables, so a
+  // minute just outside [0, kMinutesPerDay) must not read a neighbour's.
   EmpiricalAverage avg;
-  avg.Fit(SerializationFixture());
-  for (auto encoding : {EmpiricalAverage::Encoding::kRaw,
-                        EmpiricalAverage::Encoding::kCompressed}) {
-    util::ByteWriter w;
-    avg.EncodeTo(&w, encoding);
-    EmpiricalAverage loaded;
-    util::ByteReader r(w.bytes());
-    util::Status st = loaded.DecodeFrom(&r);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(r.remaining(), 0u);
-    EXPECT_TRUE(SamePredictions(avg, loaded));
-  }
-}
-
-TEST(EmpiricalAverageSerializationTest, CompressedIsAtLeastTwiceSmaller) {
-  EmpiricalAverage avg;
-  avg.Fit(SerializationFixture());
-  util::ByteWriter raw, compressed;
-  avg.EncodeTo(&raw, EmpiricalAverage::Encoding::kRaw);
-  avg.EncodeTo(&compressed, EmpiricalAverage::Encoding::kCompressed);
-  EXPECT_GE(raw.size(), compressed.size() * 2) << raw.size() << " vs "
-                                               << compressed.size();
-}
-
-TEST(EmpiricalAverageSerializationTest, EncodeIsDeterministic) {
-  EmpiricalAverage a, b;
-  a.Fit(SerializationFixture());
-  b.Fit(SerializationFixture());
-  util::ByteWriter wa, wb;
-  a.EncodeTo(&wa, EmpiricalAverage::Encoding::kCompressed);
-  b.EncodeTo(&wb, EmpiricalAverage::Encoding::kCompressed);
-  EXPECT_EQ(wa.bytes(), wb.bytes());
-}
-
-TEST(EmpiricalAverageSerializationTest, FileRoundTripAndTypedFailures) {
-  EmpiricalAverage avg;
-  avg.Fit(SerializationFixture());
-  const std::string path = ::testing::TempDir() + "/ea_dea1.bin";
-  ASSERT_TRUE(avg.Save(path).ok());
-  EmpiricalAverage loaded;
-  util::Status st = loaded.Load(path);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  EXPECT_TRUE(SamePredictions(avg, loaded));
-
-  // Missing file: IoError, not a crash.
-  EmpiricalAverage missing;
-  EXPECT_EQ(missing.Load(path + ".nope").code(),
-            util::Status::Code::kIoError);
-}
-
-TEST(EmpiricalAverageSerializationTest, CrcCatchesEveryPayloadBitFlip) {
-  EmpiricalAverage avg;
-  avg.Fit(SerializationFixture());
-  util::ByteWriter payload;
-  avg.EncodeTo(&payload, EmpiricalAverage::Encoding::kCompressed);
-  const std::string path = ::testing::TempDir() + "/ea_flip.bin";
-  ASSERT_TRUE(avg.Save(path).ok());
-  std::vector<char> file;
-  ASSERT_TRUE(util::ReadFileBytes(path, &file).ok());
-
-  // Flip one bit inside the payload region (after the 14-byte header) and
-  // every byte of the CRC seal itself: all must be InvalidArgument.
-  const size_t header = 4 + 1 + 1 + 8;
-  for (size_t i = 0; i < 24; ++i) {
-    std::vector<char> corrupt = file;
-    const size_t byte = header + (i * 977) % (file.size() - header);
-    corrupt[byte] ^= static_cast<char>(1 << (i % 8));
-    ASSERT_TRUE(util::AtomicWriteFile(path, corrupt).ok());
-    EmpiricalAverage victim;
-    util::Status st = victim.Load(path);
-    EXPECT_FALSE(st.ok()) << "byte " << byte;
-    EXPECT_EQ(st.code(), util::Status::Code::kInvalidArgument) << "byte " << byte;
-  }
-}
-
-TEST(EmpiricalAverageSerializationTest, TruncationIsIoError) {
-  EmpiricalAverage avg;
-  avg.Fit(SerializationFixture());
-  const std::string path = ::testing::TempDir() + "/ea_trunc.bin";
-  ASSERT_TRUE(avg.Save(path).ok());
-  std::vector<char> file;
-  ASSERT_TRUE(util::ReadFileBytes(path, &file).ok());
-  for (size_t keep : {size_t{0}, size_t{3}, size_t{13}, file.size() / 2,
-                      file.size() - 1}) {
-    std::vector<char> cut(file.begin(), file.begin() + keep);
-    ASSERT_TRUE(util::AtomicWriteFile(path, cut).ok());
-    EmpiricalAverage victim;
-    util::Status st = victim.Load(path);
-    EXPECT_FALSE(st.ok()) << "keep=" << keep;
-    EXPECT_EQ(st.code(), util::Status::Code::kIoError) << "keep=" << keep;
-  }
-}
-
-TEST(EmpiricalAverageSerializationTest, BadMagicRejected) {
-  EmpiricalAverage avg;
-  avg.Fit({Item(0, 0, 100, 2.0f)});
-  const std::string path = ::testing::TempDir() + "/ea_magic.bin";
-  ASSERT_TRUE(avg.Save(path).ok());
-  std::vector<char> file;
-  ASSERT_TRUE(util::ReadFileBytes(path, &file).ok());
-  file[0] = 'X';
-  ASSERT_TRUE(util::AtomicWriteFile(path, file).ok());
-  EmpiricalAverage victim;
-  EXPECT_EQ(victim.Load(path).code(), util::Status::Code::kInvalidArgument);
+  avg.Fit({Item(0, 0, 0, 2.0f), Item(0, 0, data::kMinutesPerDay - 1, 4.0f),
+           Item(1, 0, 0, 100.0f), Item(1, 0, 5, 200.0f)});
+  EXPECT_FLOAT_EQ(avg.Predict(0, data::kMinutesPerDay), 3.0f);
+  EXPECT_FLOAT_EQ(avg.Predict(1, -1), 150.0f);
+  EXPECT_FLOAT_EQ(avg.Predict(1, data::kMinutesPerDay + 5), 150.0f);
 }
 
 }  // namespace

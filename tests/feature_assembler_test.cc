@@ -202,7 +202,8 @@ TEST_F(AssemblerTest, EndOfDayGridCovered) {
   FeatureConfig raw_fc;
   raw_fc.normalize = false;
   FeatureAssembler raw(&ds_, raw_fc, 0, 14);
-  std::vector<float> h = raw.HistoricalVectors(1, 0, 1440);
+  std::vector<float> h(data::kDaysPerWeek * 2 * kL);
+  raw.History(0, /*day=*/-1, 1440, nullptr, h.data(), nullptr);
   std::vector<float> expected(2 * kL, 0.0f);
   int w = ds_.WeekId(0);
   int n = 0;

@@ -120,8 +120,12 @@ TEST_F(HistoryParityTest, HistoricalVectorsIsTheServedDayHistory) {
     assembler_->History(2, /*day=*/-1, t, h[0].data(), h[1].data(),
                         h[2].data());
     for (int kind = 0; kind < 3; ++kind) {
-      EXPECT_TRUE(SameBits(assembler_->HistoricalVectors(kind, 2, t), h[kind]))
-          << "kind " << kind << " t " << t;
+      // One signal asked for alone gives the bits of all three at once.
+      std::vector<float> one(all);
+      assembler_->History(2, /*day=*/-1, t, kind == 0 ? one.data() : nullptr,
+                          kind == 1 ? one.data() : nullptr,
+                          kind == 2 ? one.data() : nullptr);
+      EXPECT_TRUE(SameBits(one, h[kind])) << "kind " << kind << " t " << t;
       EXPECT_TRUE(SameBits(h[kind], Reference(kind, 2, 15, t)))
           << "kind " << kind << " t " << t;
     }
@@ -136,9 +140,14 @@ TEST_F(HistoryParityTest, PastMidnightMinutesCountZero) {
   const int last_area = ds_.num_areas() - 1;
   for (int t = 1431; t <= 1439; ++t) {
     const int t10 = t + data::kGapWindow;
+    const size_t all = data::kDaysPerWeek * 2 * kL;
+    std::vector<float> h[3] = {std::vector<float>(all),
+                               std::vector<float>(all),
+                               std::vector<float>(all)};
+    assembler_->History(last_area, /*day=*/-1, t10, h[0].data(), h[1].data(),
+                        h[2].data());
     for (int kind = 0; kind < 3; ++kind) {
-      EXPECT_TRUE(SameBits(assembler_->HistoricalVectors(kind, last_area, t10),
-                           Reference(kind, last_area, 15, t10)))
+      EXPECT_TRUE(SameBits(h[kind], Reference(kind, last_area, 15, t10)))
           << "kind " << kind << " t+10 " << t10;
     }
     for (int w = 0; w < data::kDaysPerWeek; ++w) {

@@ -264,7 +264,9 @@ TEST_F(GraphReplayTest, ForwardOnlyReplayTouchesNoGradOrArena) {
     for (int step = 0; step < 10; ++step) {
       sum += g.value(Forward(&g, 5)).at(0, 0);
     }
-    if (kCountsAllocations) EXPECT_EQ(counter.count(), 0u) << "sum=" << sum;
+    if (kCountsAllocations) {
+      EXPECT_EQ(counter.count(), 0u) << "sum=" << sum;
+    }
   }
   EXPECT_EQ(g.arena().hits(), hits);
   EXPECT_EQ(g.arena().misses(), misses);

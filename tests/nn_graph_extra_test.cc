@@ -15,13 +15,12 @@ namespace deepsd {
 namespace nn {
 namespace {
 
-TEST(GraphExtraTest, ScaleSubMulValues) {
+TEST(GraphExtraTest, AddSubValues) {
   Graph g;
   NodeId a = g.Input(Tensor::Row({2.0f, -3.0f}));
   NodeId b = g.Input(Tensor::Row({5.0f, 4.0f}));
-  EXPECT_FLOAT_EQ(g.value(g.Scale(a, -2.0f)).at(0, 1), 6.0f);
+  EXPECT_FLOAT_EQ(g.value(g.Add(a, b)).at(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(g.value(g.Sub(a, b)).at(0, 0), -3.0f);
-  EXPECT_FLOAT_EQ(g.value(g.Mul(a, b)).at(0, 1), -12.0f);
 }
 
 TEST(GraphExtraTest, SoftmaxMatchesAnalyticValues) {
@@ -129,13 +128,14 @@ TEST(GraphExtraTest, ParamOverReadOnlyViewAliasesIt) {
   }
 
   Tensor target(2, 3);
-  NodeId loss = g.MseLoss(g.Sub(aliased, g.Scale(copied, 0.5f)), target);
+  NodeId loss = g.MseLoss(g.Sub(g.Add(aliased, aliased), copied), target);
   store.ZeroGrads();
   g.Backward(loss);
-  // loss = mean((p − w/2)²) with p == w: dL/dp = 2·(w/2)/6 = w/6.
+  // loss = mean((2p − w)²) with p == w: dL/dp = 2·2·w/6 = 2w/3 and
+  // dL/dw = −2·w/6 = −w/3.
   for (int i = 0; i < 6; ++i) {
-    EXPECT_FLOAT_EQ(p->grad.data()[i], mapped[static_cast<size_t>(i)] / 6);
-    EXPECT_FLOAT_EQ(w->grad.data()[i], -mapped[static_cast<size_t>(i)] / 12);
+    EXPECT_FLOAT_EQ(p->grad.data()[i], 2 * mapped[static_cast<size_t>(i)] / 3);
+    EXPECT_FLOAT_EQ(w->grad.data()[i], -mapped[static_cast<size_t>(i)] / 3);
   }
 }
 

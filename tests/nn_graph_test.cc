@@ -50,7 +50,11 @@ TEST(GraphForwardTest, ConcatAndSlice) {
   NodeId c = g.Concat({a, b});
   ASSERT_EQ(g.value(c).cols(), 3);
   EXPECT_FLOAT_EQ(g.value(c).at(0, 2), 3);
-  NodeId s = g.SliceCols(c, 1, 3);
+  // Columns [1, 3), selected by a 0/1 matrix.
+  Tensor select(3, 2);
+  select.at(1, 0) = 1;
+  select.at(2, 1) = 1;
+  NodeId s = g.MatMul(c, g.Input(select));
   EXPECT_FLOAT_EQ(g.value(s).at(0, 0), 2);
   EXPECT_FLOAT_EQ(g.value(s).at(0, 1), 3);
 }
@@ -129,7 +133,6 @@ TEST(GraphForwardTest, LossValues) {
   Tensor target = Tensor::Row({0.0f, 1.0f});
   // Row tensors: shape [1,2]; mean over 2 entries.
   EXPECT_FLOAT_EQ(g.value(g.MseLoss(pred, target)).at(0, 0), (1.0f + 4.0f) / 2);
-  EXPECT_FLOAT_EQ(g.value(g.MaeLoss(pred, target)).at(0, 0), (1.0f + 2.0f) / 2);
 }
 
 TEST(GraphForwardTest, EmbedGathersRows) {
@@ -268,7 +271,10 @@ double ConcatSliceLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   Graph g;
   Tensor target(2, 4);
   NodeId cat = g.Concat({bind->Param(&g, a), bind->Param(&g, b)});
-  NodeId sliced = g.SliceCols(cat, 1, 5);
+  // Columns [1, 5) of the concatenation, selected by a 0/1 matrix.
+  Tensor select(5, 4);
+  for (int c = 0; c < 4; ++c) select.at(c + 1, c) = 1.0f;
+  NodeId sliced = g.MatMul(cat, bind->Input(&g, select));
   NodeId loss = g.MseLoss(sliced, bind->Target(target));
   return bind->Backward(&g, loss);
 }
@@ -279,10 +285,9 @@ double ArithmeticLoss(ParameterStore* store, util::Rng* rng, Binder* bind) {
   if (!a) a = store->Create("a", 2, 3, Init::kGlorotUniform, rng);
   if (!b) b = store->Create("b", 2, 3, Init::kGlorotUniform, rng);
   Graph g;
-  Tensor target(2, 3);
-  NodeId expr = g.Scale(g.Mul(g.Add(bind->Param(&g, a), bind->Param(&g, b)),
-                              g.Sub(bind->Param(&g, a), bind->Param(&g, b))),
-                        0.7f);
+  Tensor target(2, 6);
+  NodeId expr = g.Concat({g.Add(bind->Param(&g, a), bind->Param(&g, b)),
+                          g.Sub(bind->Param(&g, a), bind->Param(&g, b))});
   NodeId loss = g.MseLoss(expr, bind->Target(target));
   return bind->Backward(&g, loss);
 }
@@ -313,16 +318,6 @@ double GroupWeightedSumLoss(ParameterStore* store, util::Rng* rng,
   return bind->Backward(&g, loss);
 }
 
-double MaeHead(ParameterStore* store, util::Rng* rng, Binder* bind) {
-  Parameter* w = store->Find("w");
-  if (!w) w = store->Create("w", 1, 5, Init::kGlorotUniform, rng);
-  Graph g;
-  Tensor target(1, 5);
-  target.Fill(10.0f);  // keep pred − target far from the kink at 0
-  NodeId loss = g.MaeLoss(bind->Param(&g, w), bind->Target(target));
-  return bind->Backward(&g, loss);
-}
-
 class OpGradientTest : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(OpGradientTest, AnalyticMatchesNumeric) {
@@ -349,8 +344,7 @@ std::vector<OpCase> OpCases(bool views) {
           OpCase{"concat_slice", &ConcatSliceLoss, views},
           OpCase{"arithmetic", &ArithmeticLoss, views},
           OpCase{"embed", &EmbedLoss, views},
-          OpCase{"group_weighted_sum", &GroupWeightedSumLoss, views},
-          OpCase{"mae", &MaeHead, views}};
+          OpCase{"group_weighted_sum", &GroupWeightedSumLoss, views}};
 }
 
 std::string OpCaseName(const ::testing::TestParamInfo<OpCase>& info) {

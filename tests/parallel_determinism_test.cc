@@ -166,13 +166,17 @@ TEST_F(ParallelDeterminismTest, FeatureTablesBitIdenticalAcrossThreads) {
   feature::FeatureAssembler serial(&ds_, fc, 0, 10);
   EXPECT_TRUE(util::ThreadPool::SetGlobalThreads(4).ok());
   feature::FeatureAssembler parallel(&ds_, fc, 0, 10);
+  const size_t all = data::kDaysPerWeek * 2 * kL;
+  std::vector<float> a(3 * all), b(3 * all);
   for (int area = 0; area < ds_.num_areas(); ++area) {
-    for (int kind = 0; kind < 3; ++kind) {
-      for (int t : {420, 600, 900}) {
-        std::vector<float> a = serial.HistoricalVectors(kind, area, t);
-        std::vector<float> b = parallel.HistoricalVectors(kind, area, t);
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+    for (int t : {420, 600, 900}) {
+      serial.History(area, /*day=*/-1, t, a.data(), a.data() + all,
+                     a.data() + 2 * all);
+      parallel.History(area, /*day=*/-1, t, b.data(), b.data() + all,
+                       b.data() + 2 * all);
+      for (int kind = 0; kind < 3; ++kind) {
+        EXPECT_EQ(std::memcmp(a.data() + kind * all, b.data() + kind * all,
+                              all * sizeof(float)),
                   0)
             << "kind " << kind << " area " << area << " t " << t;
       }

@@ -68,7 +68,9 @@ class RandomVersion : public store::ModelVersion {
   }
 
   const core::DeepSDModel& model() const override { return *model_; }
-  const baselines::GapBaseline* baseline() const override { return nullptr; }
+  const baselines::EmpiricalAverage* baseline() const override {
+    return nullptr;
+  }
   std::string version_id() const override { return "random"; }
   nn::ParameterStore* params() { return &params_; }
 

@@ -135,12 +135,13 @@ TEST_F(ServingDegradationTest, OrderStallFallsBackToEmpiricalBlock) {
   // The real-time supply-demand block is replaced by the day-of-week
   // empirical block the assembler serves for training.
   feature::ModelInput in = predictor.AssembleLive(0);
-  std::vector<float> full = assembler_->HistoricalVectors(0, 0, t);
+  std::vector<float> full(data::kDaysPerWeek * 2 * kL);
+  assembler_->History(0, /*day=*/-1, t, full.data(), nullptr, nullptr);
   const size_t block = full.size() / data::kDaysPerWeek;
   const size_t off = static_cast<size_t>(ds_.WeekId(day)) * block;
-  std::vector<float> expected = assembler_->NormalizeCounts(
-      std::vector<float>(full.begin() + static_cast<long>(off),
-                         full.begin() + static_cast<long>(off + block)));
+  std::vector<float> expected(full.begin() + static_cast<long>(off),
+                              full.begin() + static_cast<long>(off + block));
+  assembler_->NormalizeCounts(expected.data(), expected.size());
   EXPECT_EQ(in.v_sd, expected);
 }
 

@@ -22,18 +22,38 @@ constexpr int kL = 20;
 class BaselinedVersion : public store::ModelVersion {
  public:
   BaselinedVersion(const core::DeepSDModel* model,
-                   const baselines::GapBaseline* baseline)
+                   const baselines::EmpiricalAverage* baseline)
       : model_(model), baseline_(baseline) {}
   const core::DeepSDModel& model() const override { return *model_; }
-  const baselines::GapBaseline* baseline() const override {
+  const baselines::EmpiricalAverage* baseline() const override {
     return baseline_;
   }
   std::string version_id() const override { return "baselined"; }
 
  private:
   const core::DeepSDModel* model_;
-  const baselines::GapBaseline* baseline_;
+  const baselines::EmpiricalAverage* baseline_;
 };
+
+/// One area's real-time vectors, read from one buffer snapshot without
+/// zero-order hold.
+struct AreaVectors {
+  std::vector<float> sd, lc, wt;
+  std::vector<int> weather_types;
+};
+
+AreaVectors ReadArea(const OrderStreamBuffer& buffer, int area) {
+  OrderStreamBuffer::Snapshot snap;
+  buffer.TakeSnapshot(&area, 1, -1, -1, &snap);
+  AreaVectors v;
+  v.sd.resize(2 * static_cast<size_t>(snap.window));
+  v.lc.resize(v.sd.size());
+  v.wt.resize(v.sd.size());
+  snap.SupplyDemand(0, v.sd.data());
+  snap.LastCallWaitingTime(0, v.lc.data(), v.wt.data());
+  v.weather_types = snap.weather_types;
+  return v;
+}
 
 class ServingTest : public ::testing::Test {
  protected:
@@ -66,13 +86,11 @@ TEST_F(ServingTest, BufferVectorsMatchOfflineDefinitions) {
   const int day = 11, t = 900;
   Replay(&buffer, day, t);
   for (int a = 0; a < ds_.num_areas(); ++a) {
-    EXPECT_EQ(buffer.SupplyDemandVector(a),
-              feature::SupplyDemandVector(ds_, a, day, t, kL))
+    const AreaVectors v = ReadArea(buffer, a);
+    EXPECT_EQ(v.sd, feature::SupplyDemandVector(ds_, a, day, t, kL))
         << "area " << a;
-    EXPECT_EQ(buffer.LastCallVector(a),
-              feature::LastCallVector(ds_, a, day, t, kL));
-    EXPECT_EQ(buffer.WaitingTimeVector(a),
-              feature::WaitingTimeVector(ds_, a, day, t, kL));
+    EXPECT_EQ(v.lc, feature::LastCallVector(ds_, a, day, t, kL));
+    EXPECT_EQ(v.wt, feature::WaitingTimeVector(ds_, a, day, t, kL));
   }
 }
 
@@ -88,7 +106,7 @@ TEST_F(ServingTest, EvictionDropsExpiredCalls) {
   buffer.AdvanceTo(0, 103);
   EXPECT_EQ(buffer.buffered_orders(), 1u);
   float sum = 0;
-  for (float v : buffer.SupplyDemandVector(0)) sum += v;
+  for (float v : ReadArea(buffer, 0).sd) sum += v;
   EXPECT_EQ(sum, 1.0f);
   buffer.AdvanceTo(0, 106);  // order now 6 minutes old, window 5
   EXPECT_EQ(buffer.buffered_orders(), 0u);
@@ -114,7 +132,7 @@ TEST_F(ServingTest, OutOfOrderArrivalsHandled) {
   a.valid = b.valid = true;
   buffer.AddOrder(a);
   buffer.AddOrder(b);
-  std::vector<float> v = buffer.SupplyDemandVector(0);
+  std::vector<float> v = ReadArea(buffer, 0).sd;
   EXPECT_EQ(v[100 - 95 - 1], 1.0f);
   EXPECT_EQ(v[100 - 93 - 1], 1.0f);
 }
@@ -384,25 +402,22 @@ TEST_F(ServingTest, ConcurrentIngestAndSnapshotReaders) {
     readers.emplace_back([&, r] {
       while (!stop.load(std::memory_order_acquire)) {
         int area = r % ds_.num_areas();
-        std::vector<float> sd = buffer.SupplyDemandVector(area);
-        std::vector<float> lc = buffer.LastCallVector(area);
-        std::vector<float> wt = buffer.WaitingTimeVector(area);
-        if (sd.size() != 2 * static_cast<size_t>(kL) ||
-            lc.size() != sd.size() || wt.size() != sd.size()) {
+        const AreaVectors v = ReadArea(buffer, area);
+        if (v.sd.size() != 2 * static_cast<size_t>(kL) ||
+            v.lc.size() != v.sd.size() || v.wt.size() != v.sd.size()) {
           violations.fetch_add(1);
         }
         // Each snapshot must be internally consistent (counts can never go
-        // negative, whatever instant it was taken at). Cross-vector
-        // comparisons are deliberately avoided: sd and lc are separate
-        // snapshots and the writer may land between them.
-        for (size_t i = 0; i < sd.size(); ++i) {
-          if (sd[i] < 0 || lc[i] < 0 || wt[i] < 0) violations.fetch_add(1);
+        // negative, whatever instant it was taken at).
+        for (size_t i = 0; i < v.sd.size(); ++i) {
+          if (v.sd[i] < 0 || v.lc[i] < 0 || v.wt[i] < 0) {
+            violations.fetch_add(1);
+          }
         }
-        if (buffer.WeatherTypes().size() != static_cast<size_t>(kL)) {
+        if (v.weather_types.size() != static_cast<size_t>(kL)) {
           violations.fetch_add(1);
         }
         buffer.buffered_orders();
-        buffer.TrafficVector(area);
       }
     });
   }
@@ -416,7 +431,7 @@ TEST_F(ServingTest, ConcurrentIngestAndSnapshotReaders) {
 
   EXPECT_EQ(violations.load(), 0);
   // After the writer finished, snapshots must equal the offline truth.
-  EXPECT_EQ(buffer.SupplyDemandVector(0),
+  EXPECT_EQ(ReadArea(buffer, 0).sd,
             feature::SupplyDemandVector(ds_, 0, 11, 560, kL));
 }
 

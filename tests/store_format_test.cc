@@ -150,37 +150,43 @@ baselines::EmpiricalAverage MakeFittedEa() {
 }
 
 TEST(StoreEaSectionTest, MappedTablesMatchTheFittedBaselineBitForBit) {
-  const baselines::EmpiricalAverage ea = MakeFittedEa();
-  const int num_areas = 3;
-  const std::vector<char> bytes = EncodeEaSection(ea.ToDense(num_areas));
-
-  std::unique_ptr<MappedEmpiricalAverage> mapped;
-  ASSERT_TRUE(
-      MappedEmpiricalAverage::Create(bytes.data(), bytes.size(), &mapped)
-          .ok());
-  ASSERT_EQ(mapped->num_areas(), num_areas);
-  for (int area = 0; area < num_areas; ++area) {
-    for (int t : {0, 100, 480, 481, 1439}) {
-      const float want = ea.Predict(area, t);
-      const float got = mapped->Predict(area, t);
-      EXPECT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
-          << "area " << area << " t " << t << ": fitted " << want
-          << " mapped " << got;
+  std::vector<baselines::EmpiricalAverage> fits;
+  fits.push_back(MakeFittedEa());  // areas 0 and 1
+  fits.emplace_back();
+  fits.back().Fit({});  // nothing fitted: every answer is 0
+  // Packed areas past the fitted range are unseen, and fitted areas past
+  // the packed range are dropped: either way the global mean answers.
+  const int unseen_area = 7;
+  for (const baselines::EmpiricalAverage& ea : fits) {
+    for (int num_areas : {1, 2, 3, 5}) {
+      const std::vector<char> bytes = EncodeEaSection(ea, num_areas);
+      baselines::EmpiricalAverage mapped;
+      ASSERT_TRUE(DecodeEaSection(bytes.data(), bytes.size(), &mapped).ok());
+      ASSERT_EQ(mapped.tables().num_areas, num_areas);
+      for (int area = 0; area <= num_areas + 1; ++area) {
+        for (int t = 0; t < data::kMinutesPerDay; ++t) {
+          const float want =
+              ea.Predict(area < num_areas ? area : unseen_area, t);
+          const float got = mapped.Predict(area, t);
+          ASSERT_EQ(std::memcmp(&want, &got, sizeof(float)), 0)
+              << "fitted areas " << ea.tables().num_areas << " num_areas "
+              << num_areas << " area " << area << " t " << t << ": fitted "
+              << want << " mapped " << got;
+        }
+      }
     }
   }
 }
 
 TEST(StoreEaSectionTest, MalformedSectionBytesAreTypedErrors) {
-  const std::vector<char> bytes =
-      EncodeEaSection(MakeFittedEa().ToDense(3));
-  std::unique_ptr<MappedEmpiricalAverage> mapped;
+  const std::vector<char> bytes = EncodeEaSection(MakeFittedEa(), 3);
+  baselines::EmpiricalAverage mapped;
 
   // Truncations, from an empty section up to one missing byte.
   for (size_t cut :
        {size_t{0}, sizeof(EaSectionHeader) - 1, bytes.size() - 4,
         bytes.size() - 1}) {
-    const util::Status st =
-        MappedEmpiricalAverage::Create(bytes.data(), cut, &mapped);
+    const util::Status st = DecodeEaSection(bytes.data(), cut, &mapped);
     ASSERT_FALSE(st.ok()) << "prefix of " << cut << " bytes accepted";
     EXPECT_EQ(st.code(), util::Status::Code::kInvalidArgument);
   }
@@ -191,8 +197,7 @@ TEST(StoreEaSectionTest, MalformedSectionBytesAreTypedErrors) {
   std::memcpy(&header, lying.data(), sizeof(header));
   header.num_areas += 1;
   std::memcpy(lying.data(), &header, sizeof(header));
-  const util::Status st =
-      MappedEmpiricalAverage::Create(lying.data(), lying.size(), &mapped);
+  const util::Status st = DecodeEaSection(lying.data(), lying.size(), &mapped);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), util::Status::Code::kInvalidArgument);
 }

@@ -15,6 +15,7 @@
 #include "nn/parameter.h"
 #include "store/versioned_model.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "gtest/gtest.h"
 
 namespace deepsd {
@@ -35,9 +36,11 @@ class StampedVersion : public ModelVersion {
   ~StampedVersion() override { destroyed_->fetch_add(1); }
 
   const core::DeepSDModel& model() const override { return *model_; }
-  const baselines::GapBaseline* baseline() const override { return nullptr; }
+  const baselines::EmpiricalAverage* baseline() const override {
+    return nullptr;
+  }
   std::string version_id() const override {
-    return "v" + std::to_string(stamp_);
+    return util::StrFormat("v%d", stamp_);
   }
   int stamp() const { return stamp_; }
 
@@ -80,7 +83,7 @@ TEST(RollbackUnderLoadTest, FourReadersSeeNoTornVersionAndCandidateReclaims) {
         const std::string id = v->version_id();
         (void)v->model().config().num_areas;
         const int s2 = v->stamp();
-        if (s1 != s2 || id != "v" + std::to_string(s1)) {
+        if (s1 != s2 || id != util::StrFormat("v%d", s1)) {
           torn.fetch_add(1);
         }
         reads.fetch_add(1, std::memory_order_relaxed);

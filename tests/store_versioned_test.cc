@@ -38,7 +38,9 @@ class FakeVersion : public ModelVersion {
   }
 
   const core::DeepSDModel& model() const override { return *model_; }
-  const baselines::GapBaseline* baseline() const override { return nullptr; }
+  const baselines::EmpiricalAverage* baseline() const override {
+    return nullptr;
+  }
   std::string version_id() const override { return id_; }
 
  private:

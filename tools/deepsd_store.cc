@@ -262,11 +262,11 @@ int Inspect(const std::string& path) {
   }
 
   if (ms->Section(store::kSectionEa, &data, &size).ok()) {
-    std::unique_ptr<store::MappedEmpiricalAverage> ea;
-    st = store::MappedEmpiricalAverage::Create(data, size, &ea);
+    baselines::EmpiricalAverage ea;
+    st = store::DecodeEaSection(data, size, &ea);
     if (!st.ok()) return Fail("ea section", st);
     std::printf("ea: %d areas (zero-copy tier-3 baseline)\n",
-                ea->num_areas());
+                ea.tables().num_areas);
   }
   return 0;
 }
